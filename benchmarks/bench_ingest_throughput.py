@@ -24,7 +24,8 @@ The *adaptive* mechanisms get their own section: each row times the
 per-step loop, the chunked kernel (hybrid sequential/speculative for
 LBD/LBA, streamlined round loop for LPD/LPA) and the generic per-step
 fallback the same chunk sizes used to hit before these kernels existed
-(forced by clearing ``chunk_kernel`` on the mechanism instance).  Two
+(forced by binding the base ``StreamMechanism.step_many`` loop on the
+mechanism instance).  Two
 workload regimes are measured, because the speedup physically depends
 on the publication cadence:
 
@@ -48,8 +49,8 @@ kernel-vs-fallback ratios per regime and carry their own CI floors;
 ``adaptive_gap_ratio`` publishes each drift row's throughput as a
 fraction of its uniform peer's (LBD/LBA vs LBU, LPD/LPA vs LPU) so the
 cost of adaptivity is tracked per PR.  The record also carries
-``kernels_backend`` (:func:`repro.engine.kernels_fast.backend`) so the
-perf trajectory distinguishes numpy-fallback runs from compiled ones.
+``kernels_backend`` (:func:`repro.engine.kernels_fast.backend`, always
+``numpy``).
 
 Run as a script::
 
@@ -67,6 +68,7 @@ import json
 import os
 import sys
 import time
+import types
 
 import numpy as np
 
@@ -75,6 +77,7 @@ if REPO_SRC not in sys.path:  # script mode without an installed package
     sys.path.insert(0, REPO_SRC)
 
 from repro.engine import StreamSession  # noqa: E402
+from repro.mechanisms.base import StreamMechanism  # noqa: E402
 from repro.streams import MaterializedStream  # noqa: E402
 
 #: Workload per size tier: (horizon, n_users, domain_size).
@@ -156,10 +159,12 @@ def _session(
         record_trace=record_trace,
     )
     if force_fallback:
-        # Shadow the class flag on this instance: observe_many routes to
-        # the generic per-step fallback, which is what every adaptive
-        # mechanism ran before it grew a chunk kernel.
-        session.mechanism.chunk_kernel = False
+        # Shadow the kernel on this instance with the base per-step
+        # loop, which is what every adaptive mechanism ran before it
+        # grew a chunk kernel.
+        session.mechanism.step_many = types.MethodType(
+            StreamMechanism.step_many, session.mechanism
+        )
     return session.start()
 
 

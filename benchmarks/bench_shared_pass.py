@@ -4,15 +4,13 @@ A sweep grid over one simulator-backed dataset pays for a full stream
 pass per cell when executed naively; the shared-pass engine
 (:func:`repro.experiments.parallel.run_shared_pass`) generates the
 stream once and fans each timestamp out to every (cell, repeat) session.
-This bench measures three modes on the same grid:
+This bench measures two modes on the same grid:
 
 ``per-cell``   one solo pass per cell (no sharing)
-``legacy``     the shared pass with SoA disabled (``REPRO_SOA=0``) —
-               the pre-SoA per-session fan-out baseline
 ``soa``        the shared pass under the structure-of-arrays scheduler
-               (:mod:`repro.engine.soa`, the default)
+               (:mod:`repro.engine.soa`)
 
-verifies all three return bit-identical results, prints the cells/sec
+verifies both return bit-identical results, prints the cells/sec
 table, and (as a script) writes a JSON record CI uploads so the perf
 trajectory is tracked per PR.
 
@@ -104,8 +102,8 @@ def _timed(specs, jobs: int, coalesce: bool):
 
 
 def measure(size: str, jobs: int = 1) -> dict:
-    """Run the grid per-cell, legacy-shared and SoA-shared; return the
-    throughput record (all three modes verified bit-identical)."""
+    """Run the grid per-cell and SoA-shared; return the throughput
+    record (both modes verified bit-identical)."""
     from repro.engine.kernels_fast import backend
 
     specs = _grid(size)
@@ -114,20 +112,7 @@ def measure(size: str, jobs: int = 1) -> dict:
     execute_cells(specs[:1], base_seed=_SEED, jobs=1, coalesce=False)
 
     per_cell, per_cell_seconds = _timed(specs, jobs, coalesce=False)
-
-    prior = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = "0"
-    try:
-        legacy, legacy_seconds = _timed(specs, jobs, coalesce=True)
-    finally:
-        if prior is None:
-            del os.environ["REPRO_SOA"]
-        else:
-            os.environ["REPRO_SOA"] = prior
-
     soa, soa_seconds = _timed(specs, jobs, coalesce=True)
-
-    _assert_identical(per_cell, legacy)
     _assert_identical(per_cell, soa)
     cells = len(specs)
     return {
@@ -137,16 +122,11 @@ def measure(size: str, jobs: int = 1) -> dict:
         "cells": cells,
         "kernels_backend": backend(),
         "per_cell_seconds": per_cell_seconds,
-        "legacy_seconds": legacy_seconds,
-        # "shared" keeps its historical meaning — the shared pass a user
-        # gets by default — which is now the SoA scheduler.
+        # "shared": the shared pass, i.e. the SoA scheduler.
         "shared_seconds": soa_seconds,
         "per_cell_cells_per_sec": cells / per_cell_seconds,
-        "legacy_cells_per_sec": cells / legacy_seconds,
         "shared_cells_per_sec": cells / soa_seconds,
         "speedup": per_cell_seconds / soa_seconds,
-        "legacy_speedup": per_cell_seconds / legacy_seconds,
-        "soa_speedup": legacy_seconds / soa_seconds,
     }
 
 
@@ -158,12 +138,9 @@ def _report(record: dict) -> str:
         f"{'mode':>12}{'seconds':>10}{'cells/s':>10}\n"
         f"{'per-cell':>12}{record['per_cell_seconds']:>10.2f}"
         f"{record['per_cell_cells_per_sec']:>10.1f}\n"
-        f"{'legacy':>12}{record['legacy_seconds']:>10.2f}"
-        f"{record['legacy_cells_per_sec']:>10.1f}\n"
         f"{'soa':>12}{record['shared_seconds']:>10.2f}"
         f"{record['shared_cells_per_sec']:>10.1f}\n"
-        f"speedup: {record['speedup']:.2f}x vs per-cell, "
-        f"{record['soa_speedup']:.2f}x vs legacy shared pass "
+        f"speedup: {record['speedup']:.2f}x vs per-cell "
         f"(results bit-identical)"
     )
 
@@ -178,15 +155,6 @@ def test_shared_pass_speedup(size):
     assert record["speedup"] > 1.5, (
         f"expected the shared pass to amortise stream generation, "
         f"measured {record['speedup']:.2f}x"
-    )
-    # The SoA scheduler must beat the legacy per-session fan-out it
-    # replaced (the pre-SoA shared-pass baseline).  Measured 1.4-1.5x on
-    # an idle machine at smoke size (Amdahl-bound by the adaptive
-    # population mechanisms' sequential rounds); the floor is
-    # conservative so a time-shared runner cannot flake the suite.
-    assert record["soa_speedup"] > 1.15, (
-        f"expected SoA to beat the legacy shared pass, "
-        f"measured {record['soa_speedup']:.2f}x"
     )
 
 
@@ -203,13 +171,6 @@ def main(argv=None) -> int:
         default=None,
         help="exit non-zero if the SoA-vs-per-cell speedup falls below this",
     )
-    parser.add_argument(
-        "--min-soa-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero if the SoA-vs-legacy-shared speedup falls "
-        "below this",
-    )
     args = parser.parse_args(argv)
     record = measure(args.size, jobs=args.jobs)
     print(_report(record))
@@ -218,24 +179,13 @@ def main(argv=None) -> int:
             json.dump(record, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.out}")
-    failed = False
     if args.min_speedup is not None and record["speedup"] < args.min_speedup:
         print(
             f"FAIL: speedup {record['speedup']:.2f}x < {args.min_speedup}x",
             file=sys.stderr,
         )
-        failed = True
-    if (
-        args.min_soa_speedup is not None
-        and record["soa_speedup"] < args.min_soa_speedup
-    ):
-        print(
-            f"FAIL: SoA speedup {record['soa_speedup']:.2f}x < "
-            f"{args.min_soa_speedup}x vs legacy shared pass",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -771,7 +771,7 @@ def _cmd_serve(args) -> int:
         ReleaseStore,
         StandingRegistry,
     )
-    from .streams import OnlineStream
+    from .streams.online import OnlineStream, snapshot_from_json
 
     from .freq_oracles import get_oracle
     from .freq_oracles.postprocess import get_postprocessor
@@ -975,7 +975,7 @@ def _cmd_serve(args) -> int:
                             "each request must be a JSON object"
                         )
                     if request.get("op") == "ingest":
-                        values = [int(v) for v in request["values"]]
+                        values = snapshot_from_json(request["values"])
                         if skip_remaining > 0:
                             # Ingested before the crash; the replayed
                             # feed re-sends it and exactly-once means we
@@ -1049,9 +1049,10 @@ def _cmd_serve(args) -> int:
                     OverflowError,
                 ) as error:
                     # OverflowError included: Python's json accepts
-                    # Infinity, and int(float("inf")) overflows — a
-                    # malformed ingest record must produce an error line,
-                    # not kill a server holding buffered timestamps.
+                    # Infinity, and int(float("inf")) in a query field
+                    # overflows — a malformed request must produce an
+                    # error line, not kill a server holding buffered
+                    # timestamps.
                     # Buffered ingests answer first so output lines keep
                     # request order even around a bad request.
                     flush()

@@ -17,7 +17,7 @@ from .accountant import WEventAccountant
 from .collector import ChunkContext, Collector, TimestepContext
 from .group import SessionGroup
 from .population import UserPool
-from .soa import SoAScheduler, soa_supported
+from .soa import SoAScheduler
 from .records import (
     STRATEGY_APPROXIMATE,
     STRATEGY_NULLIFIED,
@@ -42,6 +42,5 @@ __all__ = [
     "StreamSession",
     "SessionGroup",
     "SoAScheduler",
-    "soa_supported",
     "run_stream",
 ]

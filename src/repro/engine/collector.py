@@ -98,14 +98,18 @@ class Collector:
         t: int,
         epsilon: float,
         user_ids: Optional[np.ndarray] = None,
+        values: Optional[np.ndarray] = None,
     ) -> FOEstimate:
         """Run one FO round at timestamp ``t``.
 
         ``user_ids=None`` means *all* users report (budget division);
         otherwise only the given group reports (population division), each
-        with budget ``epsilon``.
+        with budget ``epsilon``.  ``values`` is timestamp ``t``'s
+        ``(n_users,)`` value row when the caller already holds it (a
+        chunk's prefetched block); otherwise the dataset is read.
         """
-        values = self.dataset.values(t)
+        if values is None:
+            values = self.dataset.values(t)
         if user_ids is not None:
             user_ids = np.asarray(user_ids, dtype=np.int64)
             if user_ids.size == 0:
@@ -279,9 +283,15 @@ class TimestepContext:
     legitimately needs: collection rounds plus static session facts.
     """
 
-    def __init__(self, collector: Collector, t: int):
+    def __init__(
+        self,
+        collector: Collector,
+        t: int,
+        values: Optional[np.ndarray] = None,
+    ):
         self._collector = collector
         self.t = int(t)
+        self._values = values
 
     @property
     def n_users(self) -> int:
@@ -302,22 +312,22 @@ class TimestepContext:
         self, epsilon: float, user_ids: Optional[np.ndarray] = None
     ) -> FOEstimate:
         """Collect LDP reports at the bound timestamp."""
-        return self._collector.collect(self.t, epsilon, user_ids)
+        return self._collector.collect(
+            self.t, epsilon, user_ids, values=self._values
+        )
 
 
 class ChunkContext:
     """Facade over a contiguous span of timestamps for bulk ingestion.
 
     Handed to :meth:`~repro.mechanisms.base.StreamMechanism.step_many`;
-    covers timestamps ``t0, ..., t0 + length - 1``.  Chunk-kernel
-    mechanisms route every data access through :meth:`collect_run` (and
-    the cached :meth:`counts`), which reads from one prefetched value
-    block — this is what makes chunking legal on sequential generative
-    streams, whose per-timestamp snapshots are consumed as the block is
-    built.  The per-step fallback (:meth:`timesteps`) instead serves
-    ordinary :class:`TimestepContext`\\ s that read the dataset directly;
-    a mechanism must use one style or the other for a given chunk, never
-    both.
+    covers timestamps ``t0, ..., t0 + length - 1``.  Every data access
+    reads one prefetched value block — through the run primitives
+    (:meth:`collect_run`, the cached :meth:`counts`) that chunk kernels
+    use, or through the per-step :class:`TimestepContext`\\ s of
+    :meth:`timesteps`, which carry their row of the block.  This is what
+    makes chunking legal on sequential generative streams, whose
+    per-timestamp snapshots are consumed as the block is built.
     """
 
     def __init__(
@@ -395,9 +405,7 @@ class ChunkContext:
         Row ``i`` holds the same integers as
         ``np.bincount(values(t0 + i), minlength=d)``.  Computed by
         :func:`~repro.engine.kernels_fast.block_histograms` — one
-        C-level counting pass over the whole block (flat-offset bincount
-        in the numpy reference, a two-loop count under the compiled
-        backend; exact integers either way).
+        flat-offset bincount over the whole block.
         """
         if self._counts is None:
             self._counts = block_histograms(
@@ -610,14 +618,23 @@ class ChunkContext:
 
     # ------------------------------------------------------------------
     def timestep(self, offset: int) -> TimestepContext:
-        """Per-step context for chunk offset ``offset`` (fallback path)."""
+        """Per-step context for chunk offset ``offset``.
+
+        It collects from row ``offset`` of the chunk's value block, so
+        the base :meth:`~repro.mechanisms.base.StreamMechanism.step_many`
+        loop never re-reads the dataset.
+        """
         if not 0 <= offset < self.length:
             raise InvalidParameterError(
                 f"offset {offset} outside chunk of length {self.length}"
             )
-        return TimestepContext(self._collector, self.t0 + offset)
+        return TimestepContext(
+            self._collector,
+            self.t0 + offset,
+            values=self.values_block()[offset],
+        )
 
     def timesteps(self) -> Iterator[TimestepContext]:
-        """Iterate per-step contexts in timestamp order (fallback path)."""
+        """Iterate per-step contexts in timestamp order."""
         for offset in range(self.length):
             yield self.timestep(offset)

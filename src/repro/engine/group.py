@@ -27,31 +27,22 @@ Each session's output is bit-identical to a solo
 * sessions are advanced in timestamp order, which is the only order a
   solo run ever uses.
 
-Execution paths
----------------
-By default the group runs through the structure-of-arrays scheduler
+Execution
+---------
+The pass runs through the structure-of-arrays scheduler
 (:mod:`repro.engine.soa`): one shared value block and one histogram pass
 per ``truth_chunk`` span, pre-warmed chunk contexts for every session,
 and stacked oracle calls fusing buckets of uniform-round sessions.
-Because all chunk-kernel data access goes through the prefetched block,
-SoA applies to sequential generative streams too (the block consumes
-the span once, for everyone).  With SoA off (``soa=False`` or the
-``REPRO_SOA`` environment variable), random-access datasets fall back
-to the legacy chunked fan-out — one batched
-:meth:`~repro.streams.base.StreamDataset.true_frequencies_range` call
-per span, each session ingesting via
-:meth:`~repro.engine.session.StreamSession.observe_many` — and
-sequential streams to the per-timestamp fan-out.  All three paths are
-bit-identical.
+Because every session reads the span only through the prefetched block
+(chunk kernels and the base per-step loop alike), this applies to
+sequential generative streams too: the block consumes the span once,
+for everyone.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from typing import List, Optional
-
-import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..query.store import ReleaseStore
@@ -59,13 +50,10 @@ from ..rng import SeedLike
 from ..streams.base import GenerativeStream, StreamDataset
 from .records import SessionResult
 from .session import StreamSession
-from .soa import SoAScheduler, soa_supported
+from .soa import SoAScheduler
 
-#: Timestamps per batched true-frequency fetch on random-access streams.
+#: Timestamps per shared value-block prefetch.
 _TRUTH_CHUNK = 128
-
-#: ``REPRO_SOA`` values that disable the SoA path when ``soa="auto"``.
-_SOA_OFF = frozenset({"0", "off", "false", "no"})
 
 
 class SessionGroup:
@@ -82,17 +70,6 @@ class SessionGroup:
         Bulk-ingestion span: timestamps per batched value/truth prefetch
         and per
         :meth:`~repro.engine.session.StreamSession.observe_many` call.
-    soa:
-        Structure-of-arrays execution (:mod:`repro.engine.soa`): one
-        shared value block and histogram pass per chunk, with
-        uniform-round sessions fused into stacked oracle calls.
-        ``"auto"`` (the default) uses it whenever the group
-        configuration supports it (and the ``REPRO_SOA`` environment
-        variable doesn't disable it); ``True`` requires it (raising at
-        ``advance_to`` time if unsupported); ``False`` keeps the legacy
-        per-session fan-out.  Either way every session's output is
-        bit-identical — the toggle exists for benchmarking and as an
-        escape hatch.
     """
 
     def __init__(
@@ -101,7 +78,6 @@ class SessionGroup:
         *,
         horizon: Optional[int] = None,
         truth_chunk: int = _TRUTH_CHUNK,
-        soa="auto",
     ):
         try:
             truth_chunk = operator.index(truth_chunk)
@@ -113,14 +89,9 @@ class SessionGroup:
             raise InvalidParameterError(
                 f"truth_chunk must be >= 1, got {truth_chunk}"
             )
-        if soa not in (True, False, "auto"):
-            raise InvalidParameterError(
-                f"soa must be True, False or 'auto', got {soa!r}"
-            )
         self.dataset = dataset
         self.horizon = horizon if horizon is not None else dataset.horizon
         self.truth_chunk = truth_chunk
-        self.soa = soa
         self._sessions: List[StreamSession] = []
         self._ran = False
         self._started = False
@@ -274,31 +245,9 @@ class SessionGroup:
         target = min(int(target), self.steps)
         if target <= self._cursor:
             return self._cursor
-        if self._use_soa():
-            SoAScheduler(self).advance(self._cursor, target)
-        elif getattr(self.dataset, "random_access", False):
-            self._advance_chunked(self._cursor, target)
-        else:
-            self._advance_per_step(self._cursor, target)
+        SoAScheduler(self).advance(self._cursor, target)
         self._cursor = target
         return self._cursor
-
-    def _use_soa(self) -> bool:
-        """Resolve the ``soa`` setting against the current membership."""
-        if self.soa is False:
-            return False
-        supported = soa_supported(self._sessions, self.dataset)
-        if self.soa is True:
-            if not supported:
-                raise InvalidParameterError(
-                    "soa=True but the group configuration does not "
-                    "support SoA execution: sequential streams require "
-                    "every session's mechanism to have a chunk kernel"
-                )
-            return True
-        if os.environ.get("REPRO_SOA", "").strip().lower() in _SOA_OFF:
-            return False
-        return supported
 
     def finalize_all(self) -> List[SessionResult]:
         """Finalize every session; results in ``add_session`` order."""
@@ -307,44 +256,6 @@ class SessionGroup:
                 "call start_pass() before finalize_all()"
             )
         return [session.finalize() for session in self._sessions]
-
-    def _advance_chunked(self, t0: int, t1: int) -> None:
-        """Bulk fan-out on random-access datasets.
-
-        Each truth chunk is computed once and every session ingests it
-        through :meth:`~repro.engine.session.StreamSession.observe_many`
-        — bit-identical to the per-timestamp fan-out (sessions own
-        private RNGs and the dataset serves any order), with the
-        per-step Python overhead amortised per chunk.
-        """
-        dataset = self.dataset
-        for b0 in range(t0, t1, self.truth_chunk):
-            b1 = min(b0 + self.truth_chunk, t1)
-            truth = dataset.true_frequencies_range(b0, b1)
-            for session in self._sessions:
-                span = min(b1, session.horizon) - b0
-                if span > 0:
-                    session.observe_many(
-                        b0, span, true_frequencies=truth[:span]
-                    )
-
-    def _advance_per_step(self, t0: int, t1: int) -> None:
-        """Per-timestamp fan-out for sequential (generative/online)
-        datasets, whose snapshots exist only while the cursor is on
-        them."""
-        dataset = self.dataset
-        n = dataset.n_users
-        d = dataset.domain_size
-        for t in range(t0, t1):
-            # One read of the timestamp's user values.  Generative
-            # streams generate here and serve every session's collector
-            # from the cached snapshot.  Same arithmetic as
-            # StreamDataset.true_frequencies, on the values in hand.
-            values = dataset.values(t)
-            freqs = np.bincount(values, minlength=d).astype(np.float64) / n
-            for session in self._sessions:
-                if t < session.horizon:
-                    session.observe(t, true_frequencies=freqs)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -278,16 +278,19 @@ class StreamSession:
         Bulk counterpart of :meth:`observe`, and **bit-identical** to
         calling it in a loop: the chunk performs the same RNG draws in
         the same order, so releases, records, counters and any attached
-        store end up byte-for-byte equal.  The non-adaptive kernels
-        batch their collection rounds through the oracles'
-        order-preserving run samplers; the adaptive budget kernels
-        (LBD/LBA) speculatively batch M1 rounds and rewind/replay the
-        generator around publications; the adaptive population kernels
-        (LPD/LPA) run a streamlined per-round loop (their pool draws
-        interleave with oracle draws).  What changes is the
-        per-timestamp interpreter overhead: truth histograms, collection
-        rounds and trace/store bookkeeping are amortised across the
-        chunk (see ``benchmarks/bench_ingest_throughput.py`` and
+        store end up byte-for-byte equal.  The chunk runs through
+        :meth:`~repro.mechanisms.base.StreamMechanism.step_many` over
+        one prefetched value block.  The non-adaptive kernels batch
+        their collection rounds through the oracles' order-preserving
+        run samplers; the adaptive budget kernels (LBD/LBA)
+        speculatively batch M1 rounds and rewind/replay the generator
+        around publications; the adaptive population kernels (LPD/LPA)
+        run a streamlined per-round loop (their pool draws interleave
+        with oracle draws); mechanisms without a kernel run the base
+        per-step loop.  What changes is the per-timestamp interpreter
+        overhead: truth histograms, collection rounds and trace/store
+        bookkeeping are amortised across the chunk (see
+        ``benchmarks/bench_ingest_throughput.py`` and
         ``docs/ARCHITECTURE.md``, "Bulk ingestion").
 
         ``t0`` defaults to the next expected timestamp (and must equal
@@ -347,59 +350,29 @@ class StreamSession:
                     f"true_frequencies must have shape "
                     f"({n}, {self.dataset.domain_size}), got {truth.shape}"
                 )
-        if not self.mechanism.chunk_kernel:
-            return self._observe_many_fallback(t0, n, truth)
-        return self._observe_many_kernel(t0, n, truth)
+        return self._ingest_chunk(ChunkContext(self.collector, t0, n), truth)
 
-    def _observe_many_fallback(
-        self, t0: int, n: int, truth: Optional[np.ndarray]
+    def _ingest_chunk(
+        self, ctx: ChunkContext, truth: Optional[np.ndarray]
     ) -> list:
-        """Per-step chunk ingestion: the literal ``observe()`` loop.
-
-        Used for mechanisms without a chunk kernel — e.g. the LPF
-        extension and third-party subclasses that have not opted in
-        (all seven core mechanisms have kernels).  Still amortises the
-        truth histograms over the chunk on random-access datasets.
-        """
-        if (
-            truth is None
-            and self.record_trace
-            and getattr(self.dataset, "random_access", False)
-        ):
-            truth = self.dataset.true_frequencies_range(t0, t0 + n)
-        return [
-            self.observe(
-                t0 + i,
-                true_frequencies=None if truth is None else truth[i],
-            )
-            for i in range(n)
-        ]
-
-    def _observe_many_kernel(
-        self,
-        t0: int,
-        n: int,
-        truth: Optional[np.ndarray],
-        ctx: Optional[ChunkContext] = None,
-    ) -> list:
-        """Vectorized chunk ingestion through the mechanism's kernel.
+        """Drive one chunk through ``mechanism.step_many(ctx)``.
 
         All stream access goes through the chunk context's prefetched
-        value block, which is what makes this path legal on sequential
-        generative streams too (the block consumes the span; nothing
-        re-reads it per step afterwards).  The SoA scheduler passes a
-        pre-built ``ctx`` whose block/histogram caches are already warm
-        with the chunk's shared arrays (:mod:`repro.engine.soa`).
+        value block — the mechanism's chunk kernel, or the base per-step
+        loop whose timestep contexts carry their block row — which is
+        what makes this path legal on sequential generative streams too
+        (the block consumes the span; nothing re-reads it per step
+        afterwards).  The SoA scheduler passes a context whose
+        block/histogram caches are already warm with the chunk's shared
+        arrays (:mod:`repro.engine.soa`).
         """
-        if ctx is None:
-            ctx = ChunkContext(self.collector, t0, n)
         records = self.mechanism.step_many(ctx)
         if self.record_trace and truth is None:
             # Same integers as per-step np.bincount(values(t)), divided
             # the same way — rows are bit-identical to
             # dataset.true_frequencies(t).
             truth = ctx.counts().astype(np.float64) / self.dataset.n_users
-        self._absorb_records(t0, n, truth, records)
+        self._absorb_records(ctx.t0, ctx.length, truth, records)
         return records
 
     def ingest_prepared(
@@ -431,7 +404,7 @@ class StreamSession:
                 f"chunk [{ctx.t0}, {ctx.t0 + ctx.length}) reaches beyond "
                 f"session horizon {self.horizon}"
             )
-        return self._observe_many_kernel(ctx.t0, ctx.length, truth, ctx=ctx)
+        return self._ingest_chunk(ctx, truth)
 
     def _absorb_records(
         self,
@@ -442,10 +415,10 @@ class StreamSession:
     ) -> None:
         """Post-process, store and trace a chunk's step records.
 
-        Shared absorb tail of every bulk path — the in-session kernel,
-        and the SoA scheduler's generic and fused bucket drives — so
-        publication counting, post-processing, variance propagation and
-        trace bookkeeping stay byte-identical across them.
+        Shared absorb tail of every bulk path — the in-session chunk
+        drive, and the SoA scheduler's generic and fused bucket drives —
+        so publication counting, post-processing, variance propagation
+        and trace bookkeeping stay byte-identical across them.
         """
         if len(records) != n:
             raise InvalidParameterError(

@@ -1,11 +1,9 @@
 """Structure-of-arrays execution for :class:`~repro.engine.group.SessionGroup`.
 
-The legacy shared pass already amortises the *data* work (one stream
-read, one truth histogram per timestamp), but still drives every session
-through its own chunk kernel: S sessions over the same chunk perform S
-histogram passes, S oracle setups and S rounds of per-session Python
-dispatch.  The SoA scheduler turns the member sessions into the *inner*
-axis instead:
+Driving every session of a shared pass through its own chunk kernel
+would still cost S histogram passes, S oracle setups and S rounds of
+per-session Python dispatch for S sessions over the same chunk.  The
+SoA scheduler turns the member sessions into the *inner* axis instead:
 
 * one ``values_range`` fetch and one
   :func:`~repro.engine.kernels_fast.block_histograms` pass per chunk,
@@ -22,7 +20,9 @@ axis instead:
   instead of once per session;
 * everything else ingests through
   :meth:`~repro.engine.session.StreamSession.ingest_prepared` with the
-  shared block/histograms injected.
+  shared block/histograms injected — its mechanism's chunk kernel, or
+  for mechanisms without one (LPF, THRESH) the base per-step loop,
+  whose timestep contexts read their rows of the same block.
 
 Bit-identity argument
 ---------------------
@@ -51,31 +51,14 @@ Every session's output is bit-identical to its solo ``run_stream``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .collector import ChunkContext
 from .kernels_fast import block_histograms
 
-__all__ = ["SoAScheduler", "soa_supported"]
-
-
-def soa_supported(sessions, dataset) -> bool:
-    """Whether the SoA scheduler can drive this group configuration.
-
-    Random-access datasets always qualify (sessions without a chunk
-    kernel fall back to per-step ingestion, which may re-read the
-    dataset).  Sequential (generative/online) streams qualify only when
-    *every* session's mechanism has a chunk kernel, because the shared
-    value block consumes the span — a per-step fallback would re-read
-    timestamps that no longer exist.
-    """
-    if not sessions:
-        return False
-    if getattr(dataset, "random_access", False):
-        return True
-    return all(s.mechanism.chunk_kernel for s in sessions)
+__all__ = ["SoAScheduler"]
 
 
 class SoAScheduler:
@@ -122,12 +105,7 @@ class SoAScheduler:
         generic: List[Tuple] = []  # (session, span)
         for s in live:
             span = min(b1, s.horizon) - b0
-            if not s.mechanism.chunk_kernel:
-                # Per-step fallback (e.g. the LPF extension): only legal
-                # on random-access datasets — soa_supported() guarantees
-                # it.  Still shares the chunk's truth block.
-                s.observe_many(b0, span, true_frequencies=truth[:span])
-            elif (
+            if (
                 span == length
                 and s.fast
                 and s.mechanism.uniform_run_epsilon() is not None

@@ -41,15 +41,14 @@ uses, so coalescing changes wall-clock only, never results.  A
 stream pass instead of 28 (see ``benchmarks/bench_shared_pass.py``).
 
 The shared pass runs through the group's structure-of-arrays scheduler
-(:mod:`repro.engine.soa`, the ``soa="auto"`` default): each
-:data:`_SHARED_PASS_CHUNK`-timestamp span is read and histogrammed
-once for the whole group, every session's chunk context is pre-warmed
-with the shared arrays, and buckets of uniform-round sessions (e.g.
-all the LBU cells of an epsilon sweep) collapse into single stacked
-oracle calls.  This holds on generative simulators too — the SoA block
-fetch consumes each span exactly once — and is bit-identical to the
-per-timestamp fan-out (see ``benchmarks/bench_shared_pass.py``; set
-``REPRO_SOA=0`` to fall back to the legacy fan-out).
+(:mod:`repro.engine.soa`): each :data:`_SHARED_PASS_CHUNK`-timestamp
+span is read and histogrammed once for the whole group, every
+session's chunk context is pre-warmed with the shared arrays, and
+buckets of uniform-round sessions (e.g. all the LBU cells of an epsilon
+sweep) collapse into single stacked oracle calls.  This holds on
+generative simulators too — the SoA block fetch consumes each span
+exactly once — and is bit-identical to per-cell execution (see
+``benchmarks/bench_shared_pass.py``).
 """
 
 from __future__ import annotations

@@ -35,25 +35,6 @@ class StreamMechanism(abc.ABC):
     adaptive: bool = False
     #: Which framework the method belongs to: ``"budget"`` or ``"population"``.
     framework: str = ""
-    #: Whether :meth:`step_many` overrides the per-step fallback with a
-    #: chunk kernel whose data access goes exclusively through the
-    #: :class:`~repro.engine.collector.ChunkContext` run primitives.
-    #: All seven core mechanisms set this.  The non-adaptive ones
-    #: (LBU/LSP/LPU) batch a whole chunk's rounds through
-    #: :meth:`~repro.engine.collector.ChunkContext.collect_run`, since
-    #: their collection schedule is a pure function of the timestamp.
-    #: The adaptive budget methods (LBD/LBA) *speculate*: batch-draw a
-    #: lookahead of M1 rounds, scan the publish decisions closed-form,
-    #: and rewind/replay the generator when a publication invalidates
-    #: the speculated tail.  The adaptive population methods (LPD/LPA)
-    #: run a streamlined sequential loop over
-    #: :meth:`~repro.engine.collector.ChunkContext.round_collector`
-    #: (pool draws interleave with oracle draws, so rounds cannot be
-    #: batched — the win is hoisted dispatch).  Every kernel is
-    #: bit-identical to its ``step()`` loop.  Third-party subclasses
-    #: that leave this ``False`` fall back to per-step execution; the
-    #: engine only builds chunk contexts for kernels.
-    chunk_kernel: bool = False
 
     def __init__(self) -> None:
         self.n_users = 0
@@ -107,10 +88,24 @@ class StreamMechanism(abc.ABC):
 
         Must be bit-identical to calling :meth:`step` per timestamp —
         same RNG draws in the same order, same records, same final
-        mechanism state.  The base implementation *is* that loop.
-        Mechanisms with ``chunk_kernel = True`` override it with a
-        vectorized kernel that batches the chunk's collection rounds
-        through :meth:`ChunkContext.collect_run`.
+        mechanism state.  The base implementation *is* that loop; its
+        timestep contexts collect from the chunk's prefetched value
+        block, so it is legal on sequential streams too.
+
+        All seven core mechanisms override it with a chunk kernel whose
+        data access goes through the
+        :class:`~repro.engine.collector.ChunkContext` run primitives.
+        The non-adaptive ones (LBU/LSP/LPU) batch a whole chunk's rounds
+        through :meth:`ChunkContext.collect_run`, since their collection
+        schedule is a pure function of the timestamp.  The adaptive
+        budget methods (LBD/LBA) *speculate*: batch-draw a lookahead of
+        M1 rounds, scan the publish decisions closed-form, and
+        rewind/replay the generator when a publication invalidates the
+        speculated tail.  The adaptive population methods (LPD/LPA) run
+        a streamlined sequential loop over
+        :meth:`ChunkContext.round_collector` (pool draws interleave with
+        oracle draws, so rounds cannot be batched — the win is hoisted
+        dispatch).
         """
         return [self.step(step_ctx) for step_ctx in ctx.timesteps()]
 

@@ -47,7 +47,6 @@ class LBA(StreamMechanism):
     name = "LBA"
     adaptive = True
     framework = "budget"
-    chunk_kernel = True
 
     def _setup(self) -> None:
         # Last publication timestamp and its budget (line 1).  With 0-based

@@ -60,7 +60,6 @@ class LBD(StreamMechanism):
     name = "LBD"
     adaptive = True
     framework = "budget"
-    chunk_kernel = True
 
     def _setup(self) -> None:
         self._spent_publication = SlidingWindowSum(self.window)

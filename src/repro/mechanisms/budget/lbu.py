@@ -22,7 +22,6 @@ class LBU(StreamMechanism):
     name = "LBU"
     adaptive = False
     framework = "budget"
-    chunk_kernel = True
 
     def step(self, ctx: TimestepContext) -> StepRecord:
         per_step_epsilon = self.epsilon / self.window

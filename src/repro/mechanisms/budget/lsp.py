@@ -38,7 +38,6 @@ class LSP(StreamMechanism):
     name = "LSP"
     adaptive = False
     framework = "budget"
-    chunk_kernel = True
 
     def __init__(self, offset: int = 0):
         super().__init__()

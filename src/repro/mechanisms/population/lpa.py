@@ -40,7 +40,6 @@ class LPA(StreamMechanism):
     name = "LPA"
     adaptive = True
     framework = "population"
-    chunk_kernel = True
 
     def _setup(self) -> None:
         self._m1_size = self.n_users // (2 * self.window)

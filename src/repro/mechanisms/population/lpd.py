@@ -55,7 +55,6 @@ class LPD(StreamMechanism):
     name = "LPD"
     adaptive = True
     framework = "population"
-    chunk_kernel = True
 
     def __init__(self, u_min: int = 1):
         super().__init__()

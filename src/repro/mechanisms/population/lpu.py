@@ -26,7 +26,6 @@ class LPU(StreamMechanism):
     name = "LPU"
     adaptive = False
     framework = "population"
-    chunk_kernel = True
 
     def _setup(self) -> None:
         permutation = self.rng.permutation(self.n_users)

@@ -284,7 +284,6 @@ def capture_group(group) -> dict:
         "version": CHECKPOINT_VERSION,
         "horizon": group.horizon,
         "truth_chunk": group.truth_chunk,
-        "soa": group.soa,
         "cursor": group.cursor,
         "sessions": [capture_session(s) for s in group.sessions],
     }
@@ -310,9 +309,9 @@ def restore_group(
                 if payload["horizon"] is None
                 else int(payload["horizon"])
             ),
+            # Older payloads also carry a "soa" execution toggle; the
+            # SoA scheduler is now the only path, so it is ignored.
             truth_chunk=int(payload["truth_chunk"]),
-            # Pre-SoA checkpoints carry no setting: resolve as "auto".
-            soa=payload.get("soa", "auto"),
         )
         sessions = [
             restore_session(entry, dataset, position=False)

@@ -28,8 +28,7 @@ query`` CLI commands expose both paths; see ``docs/QUERIES.md``.
 
 The numeric-stream estimators (mean-oriented mechanisms over bounded
 numeric values) live here too: :mod:`repro.query.numeric` and
-:mod:`repro.query.stream_mean`, formerly the separate ``repro.queries``
-package (old import paths still work, with a ``DeprecationWarning``).
+:mod:`repro.query.stream_mean`.
 """
 
 from .dsl import (
@@ -107,7 +106,7 @@ __all__ = [
     # Standing
     "StandingQuery",
     "StandingRegistry",
-    # Numeric streams (formerly repro.queries)
+    # Numeric streams
     "NumericMechanism",
     "DuchiMechanism",
     "PiecewiseMechanism",

@@ -63,6 +63,7 @@ from ..query.engine import QueryEngine
 from ..query.planner import QueryPlanner
 from ..query.standing import StandingRegistry
 from ..query.store import ReleaseStore, merge_release_rows
+from ..streams.online import snapshot_from_json
 from .router import ShardRouter, shard_seed
 from .worker import shard_worker_main
 
@@ -465,9 +466,7 @@ class ShardServer:
                 raw, dtype=_B64_DTYPES[dtype_tag]
             ).astype(np.int64)
         else:
-            values = np.asarray(
-                [int(v) for v in request["values"]], dtype=np.int64
-            )
+            values = snapshot_from_json(request["values"])
         if values.shape != (self.config.n_users,):
             raise InvalidParameterError(
                 f"ingest snapshot must carry {self.config.n_users} values, "

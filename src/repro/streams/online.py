@@ -23,6 +23,29 @@ from ..exceptions import InvalidParameterError, StreamAccessError
 from .base import StreamDataset
 
 
+def snapshot_from_json(values) -> np.ndarray:
+    """A JSON ``values`` field -> ``(n,)`` int64 snapshot.
+
+    The wire form of one timestamp's user values is a JSON list of
+    integers.  Anything else — a string, floats (``1.7``, ``Infinity``),
+    booleans — raises :class:`~repro.exceptions.InvalidParameterError`
+    instead of being coerced, so a malformed ingest never reaches the
+    stream truncated.
+    """
+    if not isinstance(values, list) or not all(
+        type(v) is int for v in values
+    ):
+        raise InvalidParameterError(
+            "ingest values must be a JSON list of integers"
+        )
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise InvalidParameterError(
+            "ingest values outside the int64 range"
+        ) from None
+
+
 class OnlineStream(StreamDataset):
     """An unbounded stream fed one snapshot at a time via :meth:`push`.
 
@@ -52,8 +75,16 @@ class OnlineStream(StreamDataset):
         return self._next_t
 
     def push(self, values) -> int:
-        """Ingest the next timestamp's user values; return its timestamp."""
+        """Ingest the next timestamp's user values; return its timestamp.
+
+        ``values`` must hold integers (any integer dtype); floats and
+        booleans raise rather than being truncated.
+        """
         values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"snapshot values must be integers, got dtype {values.dtype}"
+            )
         if values.ndim != 1 or values.shape[0] != self.n_users:
             raise InvalidParameterError(
                 f"snapshot must be a ({self.n_users},) value array, got "

@@ -2,15 +2,18 @@
 chunk size, on random-access and sequential streams, through mid-pass
 checkpoints, with the fused and generic bucket paths both exercised."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.engine import SessionGroup, run_stream, soa_supported
+from repro.engine import SessionGroup, StreamSession, run_stream
 from repro.exceptions import InvalidParameterError
+from repro.related import THRESH
 from repro.streams import TaxiSimulator, make_sin
 
 # The seven core mechanisms plus the LPF extension (no chunk kernel —
-# exercises the SoA per-step fallback lane on random-access streams).
+# exercises the base per-step loop inside SoA's generic lane).
 MECHANISMS = ("LBU", "LSP", "LBD", "LBA", "LPU", "LPD", "LPA", "LPF")
 ORACLES = ("grr", "oue", "sue", "olh", "hr")
 
@@ -22,10 +25,15 @@ def _dataset():
     return make_sin(horizon=HORIZON, n_users=N_USERS, seed=9)
 
 
-def _grid_group(dataset, *, oracle=None, chunk=16, soa=True,
-                mechanisms=MECHANISMS):
-    group = SessionGroup(dataset, truth_chunk=chunk, soa=soa)
-    for i, mech in enumerate(mechanisms):
+def _taxi():
+    return TaxiSimulator(
+        n_users=N_USERS, horizon=HORIZON, domain_size=10, seed=3
+    )
+
+
+def _grid_group(dataset, *, oracle=None, chunk=16):
+    group = SessionGroup(dataset, truth_chunk=chunk)
+    for i, mech in enumerate(MECHANISMS):
         g_oracle = oracle if oracle is not None else ORACLES[i % len(ORACLES)]
         group.add_session(
             mech,
@@ -36,6 +44,37 @@ def _grid_group(dataset, *, oracle=None, chunk=16, soa=True,
             postprocess="clip" if i % 2 else "none",
         )
     return group
+
+
+def _observe_loop(mechanism, dataset, epsilon, *, oracle, seed,
+                  postprocess="none", window=4):
+    """The per-step reference: a solo session driven by ``observe()``,
+    publishing into its own store.  Returns ``(result, store)``."""
+    session = StreamSession(
+        mechanism, dataset, epsilon, window, horizon=HORIZON,
+        oracle=oracle, seed=seed, postprocess=postprocess,
+    )
+    store = session.attach_store()
+    session.start()
+    for t in range(HORIZON):
+        session.observe(t)
+    return session.finalize(), store
+
+
+def _grid_reference(make_dataset):
+    """``_observe_loop`` for each session ``_grid_group`` would add."""
+    return [
+        _observe_loop(
+            mech, make_dataset(), 0.8 + 0.2 * i,
+            oracle=ORACLES[i % len(ORACLES)], seed=50 + i,
+            postprocess="clip" if i % 2 else "none",
+        )
+        for i, mech in enumerate(MECHANISMS)
+    ]
+
+
+def assert_stores_identical(a, b):
+    assert repr(a.state_dict()) == repr(b.state_dict())
 
 
 def assert_results_identical(a, b):
@@ -73,7 +112,7 @@ class TestSoloBitIdentity:
         # Same mechanism family + oracle at many budgets: one stacked
         # call drives the whole bucket.
         dataset = _dataset()
-        group = SessionGroup(dataset, truth_chunk=8, soa=True)
+        group = SessionGroup(dataset, truth_chunk=8)
         epsilons = (0.5, 1.0, 2.0, 4.0)
         for j, eps in enumerate(epsilons):
             group.add_session("LBU", eps, 5, oracle="oue", seed=70 + j)
@@ -85,24 +124,16 @@ class TestSoloBitIdentity:
             )
             assert_results_identical(results[j], solo)
 
-    def test_sequential_stream_soa_matches_legacy(self):
-        def run(soa):
-            dataset = TaxiSimulator(
-                n_users=N_USERS, horizon=HORIZON, domain_size=10, seed=3
-            )
-            # LPF has no chunk kernel: sequential streams can't take it
-            # through SoA, so restrict to the seven kernel mechanisms.
-            group = _grid_group(
-                dataset, chunk=7, soa=soa, mechanisms=MECHANISMS[:-1]
-            )
-            return group.run()
-
-        for a, b in zip(run(True), run(False)):
-            assert_results_identical(a, b)
+    def test_sequential_stream_matches_observe_loop(self):
+        # All eight mechanisms, LPF's per-step loop included: the shared
+        # value block consumes each span once, for every session.
+        results = _grid_group(_taxi(), chunk=7).run()
+        for result, (solo, _) in zip(results, _grid_reference(_taxi)):
+            assert_results_identical(result, solo)
 
     def test_mixed_horizons_match_solo(self):
         dataset = _dataset()
-        group = SessionGroup(dataset, truth_chunk=6, soa=True)
+        group = SessionGroup(dataset, truth_chunk=6)
         horizons = (HORIZON, 11, 7)
         for j, h in enumerate(horizons):
             group.add_session(
@@ -120,26 +151,33 @@ class TestSoloBitIdentity:
 class TestSnapshotThroughSoA:
     def test_mid_pass_snapshot_restore_non_aligned(self):
         dataset = _dataset()
-        group = _grid_group(dataset, chunk=6, soa=True)
-        reference = _grid_group(_dataset(), chunk=6, soa=True).run()
+        group = _grid_group(dataset, chunk=6)
+        reference = _grid_group(_dataset(), chunk=6).run()
         group.start_pass()
         group.advance_to(7)  # not a chunk boundary
         payload = group.snapshot()
+        assert "soa" not in payload
         restored = SessionGroup.restore(payload, _dataset())
-        assert restored.soa is True
         restored.advance_to(restored.steps)
         for a, b in zip(restored.finalize_all(), reference):
             assert_results_identical(a, b)
 
-    def test_pre_soa_payload_defaults_to_auto(self):
-        dataset = _dataset()
-        group = _grid_group(dataset, chunk=6, soa="auto")
+    @pytest.mark.parametrize("legacy_soa", (False, True, "auto", None))
+    def test_legacy_soa_key_restores_and_continues(self, legacy_soa):
+        """Older payloads carry the retired ``"soa"`` execution toggle
+        (``None``: pre-SoA payloads without it); restore ignores it and
+        the pass continues bit-identically."""
+        reference = _grid_group(_dataset(), chunk=6).run()
+        group = _grid_group(_dataset(), chunk=6)
         group.start_pass()
         group.advance_to(5)
-        payload = group.snapshot()
-        del payload["soa"]
+        payload = json.loads(json.dumps(group.snapshot()))
+        if legacy_soa is not None:
+            payload["soa"] = legacy_soa
         restored = SessionGroup.restore(payload, _dataset())
-        assert restored.soa == "auto"
+        restored.advance_to(restored.steps)
+        for a, b in zip(restored.finalize_all(), reference):
+            assert_results_identical(a, b)
 
 
 class TestConfiguration:
@@ -152,61 +190,40 @@ class TestConfiguration:
             with pytest.raises(InvalidParameterError, match=">= 1"):
                 SessionGroup(_dataset(), truth_chunk=bad)
 
-    def test_soa_validated(self):
-        with pytest.raises(InvalidParameterError, match="soa"):
-            SessionGroup(_dataset(), soa="yes")
 
-    def test_soa_true_unsupported_raises(self):
-        dataset = TaxiSimulator(
-            n_users=100, horizon=6, domain_size=5, seed=1
-        )
-        group = SessionGroup(dataset, soa=True)
-        group.add_session("LPF", 1.0, 3, oracle="grr", seed=1)
-        group.start_pass()
-        with pytest.raises(InvalidParameterError, match="chunk kernel"):
-            group.advance_to(6)
+class TestKernelFreeMechanisms:
+    """LPF and THRESH have no chunk kernel: inside SoA they run the base
+    per-step loop off the shared value block, which is legal on
+    sequential streams too."""
 
-    def test_soa_supported_predicate(self):
-        sequential = TaxiSimulator(
-            n_users=100, horizon=6, domain_size=5, seed=1
-        )
-        assert not soa_supported([], sequential)
-        group = SessionGroup(sequential, soa=False)
-        kernel = group.add_session("LBU", 1.0, 3, oracle="grr", seed=1)
-        assert soa_supported([kernel], sequential)
-        fallback = group.add_session("LPF", 1.0, 3, oracle="grr", seed=2)
-        assert not soa_supported([kernel, fallback], sequential)
-        assert soa_supported([kernel, fallback], _dataset())
-
-    def test_repro_soa_env_disables_auto(self, monkeypatch):
-        def run(env):
-            if env is None:
-                monkeypatch.delenv("REPRO_SOA", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SOA", env)
-            group = _grid_group(_dataset(), chunk=6, soa="auto")
-            assert group._use_soa() is (env != "0")
-            return group.run()
-
-        for a, b in zip(run("0"), run(None)):
-            assert_results_identical(a, b)
-
-    def test_repro_soa_env_does_not_override_explicit_true(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        group = _grid_group(_dataset(), chunk=6, soa=True)
-        assert group._use_soa() is True
+    @pytest.mark.parametrize("oracle", ("grr", "oue", "olh"))
+    @pytest.mark.parametrize("chunk", (1, 4, 16))
+    def test_sequential_group_matches_observe_loop(self, oracle, chunk):
+        mechanisms = ("LPF", THRESH, "LPF", THRESH)
+        group = SessionGroup(_taxi(), truth_chunk=chunk)
+        for j, mech in enumerate(mechanisms):
+            group.add_session(
+                mech, 0.5 + 0.5 * j, 3, oracle=oracle, seed=90 + j,
+                postprocess="clip" if j % 2 else "none",
+            )
+        stores = group.attach_stores()
+        results = group.run()
+        for j, mech in enumerate(mechanisms):
+            solo, solo_store = _observe_loop(
+                mech, _taxi(), 0.5 + 0.5 * j, window=3, oracle=oracle,
+                seed=90 + j, postprocess="clip" if j % 2 else "none",
+            )
+            assert_results_identical(results[j], solo)
+            assert_stores_identical(stores[j], solo_store)
 
 
 class TestStores:
-    def test_store_contents_identical_to_legacy(self):
-        def run(soa):
-            group = _grid_group(_dataset(), chunk=9, soa=soa)
-            group.attach_stores()
-            group.run()
-            return [s.store for s in group.sessions]
-
-        for a, b in zip(run(True), run(False)):
-            sa, sb = a.state_dict(), b.state_dict()
-            assert repr(sa) == repr(sb)
+    @pytest.mark.parametrize("make_dataset", (_dataset, _taxi))
+    def test_store_contents_match_observe_loop(self, make_dataset):
+        group = _grid_group(make_dataset(), chunk=9)
+        stores = group.attach_stores()
+        group.run()
+        for store, (_, solo_store) in zip(
+            stores, _grid_reference(make_dataset)
+        ):
+            assert_stores_identical(store, solo_store)

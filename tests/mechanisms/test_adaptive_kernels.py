@@ -15,11 +15,13 @@ live in tests/engine/test_observe_many.py.
 """
 
 import json
+import types
 
 import numpy as np
 import pytest
 
 from repro.engine import StreamSession
+from repro.mechanisms.base import StreamMechanism
 from repro.streams import MaterializedStream
 
 ADAPTIVE = ("LBD", "LBA", "LPD", "LPA")
@@ -127,11 +129,14 @@ class TestBitIdentityMatrix:
 
     @pytest.mark.parametrize("mechanism", ADAPTIVE)
     def test_kernel_matches_fallback(self, mechanism):
-        """Forcing chunk_kernel=False on the instance must not change
-        anything either — kernel, fallback and loop are one behaviour."""
+        """Binding the base per-step ``step_many`` on the instance must
+        not change anything either — kernel, fallback and loop are one
+        behaviour."""
         chunked = _run_chunked(mechanism, "oue", 13)
         session = _session(mechanism, "oue")
-        session.mechanism.chunk_kernel = False
+        session.mechanism.step_many = types.MethodType(
+            StreamMechanism.step_many, session.mechanism
+        )
         t = 0
         while t < HORIZON:
             t += len(session.observe_many(t, 13))

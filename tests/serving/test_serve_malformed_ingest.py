@@ -4,8 +4,10 @@ Python's ``json`` happily parses ``Infinity`` into ``float("inf")``,
 and ``int(float("inf"))`` raises ``OverflowError`` — an exception class
 the legacy ``repro serve`` loop did not catch, so one malformed record
 could take down a server holding buffered (``--chunk > 1``) timestamps.
-The server must instead emit a structured JSON error line and keep
-serving the rest of the feed.
+Floats, booleans and digit strings were worse: ``int()`` truncated them
+into a silently ingested snapshot.  The server must instead reject any
+``values`` that is not a list of JSON integers with a typed error line
+and keep serving the rest of the feed.
 """
 
 import json
@@ -77,7 +79,9 @@ def test_infinity_values_emit_an_error_line_not_a_crash():
     out = [json.loads(line) for line in proc.stdout.splitlines()]
     errors = [obj for obj in out if "error" in obj]
     assert len(errors) == 2
-    assert any("OverflowError" in obj["error"] for obj in errors)
+    assert all(
+        obj["error"].startswith("InvalidParameterError") for obj in errors
+    )
     # Every well-formed ingest was acked with a consecutive timestamp —
     # the buffered chunk survived both malformed records.
     acked = [obj["t"] for obj in out if obj.get("op") == "ingest"]
@@ -101,3 +105,41 @@ def test_chunk_one_still_reports_instead_of_dying():
     out = [json.loads(line) for line in proc.stdout.splitlines()]
     assert sum("error" in obj for obj in out) == 1
     assert [obj["t"] for obj in out if obj.get("op") == "ingest"] == [0, 1]
+
+
+def test_non_integer_values_are_rejected_not_truncated():
+    """Each record is right-sized and in-domain once truncated, so an
+    ``int()`` parse would have ingested it; each must instead earn a
+    typed error line, and the valid ingest right after it is acked."""
+    bad = [
+        [1.7] * N_USERS,
+        [True] * N_USERS,
+        "012" * (N_USERS // 3),
+    ]
+    valid = _ingest_lines(len(bad) + 1, seed=13)
+    feed = [valid[0]]
+    for values, line in zip(bad, valid[1:]):
+        feed += [json.dumps({"op": "ingest", "values": values}), line]
+    feed.append(json.dumps({"op": "point", "item": 0}))
+    proc = subprocess.run(
+        _serve_cmd(chunk=1),
+        input="\n".join(feed) + "\n",
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = [json.loads(line) for line in proc.stdout.splitlines()]
+    # One answer per request, in request order: ack, then (error, ack)
+    # for every bad record, then the query.
+    assert len(out) == len(feed)
+    assert out[0]["op"] == "ingest" and out[0]["t"] == 0
+    for i in range(len(bad)):
+        error, ack = out[1 + 2 * i], out[2 + 2 * i]
+        assert set(error) == {"error"}
+        assert error["error"].startswith(
+            "InvalidParameterError: ingest values must be"
+        )
+        assert ack["op"] == "ingest" and ack["t"] == i + 1
+    assert "estimate" in out[-1]

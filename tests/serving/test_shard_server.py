@@ -165,9 +165,9 @@ class TestSingleClientConformance:
 class TestErrorHandling:
     def test_bad_requests_answer_errors_without_dying(self):
         """Malformed lines — broken JSON, wrong population size,
-        out-of-domain values, JSON Infinity, unknown ops, checkpoint
-        without a state dir — each earns a structured error line and the
-        server keeps serving."""
+        out-of-domain values, JSON Infinity, floats, booleans, a digit
+        string, unknown ops, checkpoint without a state dir — each earns
+        a structured error line and the server keeps serving."""
         block = feed_block(3, N_USERS, DEFAULTS["domain"], seed=57)
         with ShardServerProc(
             sharded_cmd(shards=2, n_users=N_USERS, chunk=1)
@@ -190,10 +190,21 @@ class TestErrorHandling:
                         {"op": "ingest", "b64": "AA==", "dtype": "f8"}
                     ),
                 ]
-                for line in bad_lines:
+                # Right-sized, in-domain once truncated: an int() parse
+                # would have ingested each of these silently.
+                non_integer_lines = [
+                    json.dumps({"op": "ingest", "values": [1.7] * N_USERS}),
+                    json.dumps({"op": "ingest", "values": [True] * N_USERS}),
+                    json.dumps({"op": "ingest", "values": "0120" * 16}),
+                ]
+                for line in bad_lines + non_integer_lines:
                     client.send_raw(line)
                     reply = client.recv()
                     assert set(reply) == {"error"}, (line, reply)
+                    if line in non_integer_lines:
+                        assert reply["error"].startswith(
+                            "InvalidParameterError: ingest values must be"
+                        ), reply
                 # The tier is still healthy: ingest and query proceed.
                 for t in range(3):
                     ack = client.ask(

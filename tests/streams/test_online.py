@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError, StreamAccessError
 from repro.streams import OnlineStream
+from repro.streams.online import snapshot_from_json
 
 
 class TestPush:
@@ -35,10 +36,61 @@ class TestPush:
         with pytest.raises(InvalidParameterError):
             stream.push([-1, 0])
 
+    @pytest.mark.parametrize(
+        "values",
+        (
+            np.array([1.7, 0.0, 2.0]),
+            np.array([1.0, 0.0, 2.0]),
+            np.array([True, False, True]),
+            [1.7, 0.0, 2.0],
+        ),
+    )
+    def test_non_integer_dtype_rejected_not_truncated(self, values):
+        stream = OnlineStream(n_users=3, domain_size=3)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            stream.push(values)
+        assert stream.pushed == 0
+
+    @pytest.mark.parametrize("dtype", (np.uint8, np.int16, np.int64))
+    def test_any_integer_dtype_accepted(self, dtype):
+        stream = OnlineStream(n_users=3, domain_size=3)
+        stream.push(np.array([2, 0, 1], dtype=dtype))
+        assert stream.values(0).dtype == np.int64
+        assert np.array_equal(stream.values(0), [2, 0, 1])
+
     def test_true_frequencies_from_snapshot(self):
         stream = OnlineStream(n_users=4, domain_size=2)
         stream.push([0, 0, 1, 1])
         assert np.allclose(stream.true_frequencies(0), [0.5, 0.5])
+
+
+class TestSnapshotFromJson:
+    def test_integer_list_parses_to_int64(self):
+        values = snapshot_from_json([3, 0, 1])
+        assert values.dtype == np.int64
+        assert np.array_equal(values, [3, 0, 1])
+
+    @pytest.mark.parametrize(
+        "raw",
+        (
+            [1.7, 0],
+            [1.0, 0],
+            [True, 0],
+            [float("inf")],
+            "0120",
+            {"0": 1},
+            None,
+            [[0, 1]],
+            ["1", 0],
+        ),
+    )
+    def test_non_integer_values_rejected(self, raw):
+        with pytest.raises(InvalidParameterError, match="JSON list of int"):
+            snapshot_from_json(raw)
+
+    def test_beyond_int64_rejected(self):
+        with pytest.raises(InvalidParameterError, match="int64"):
+            snapshot_from_json([2**70])
 
 
 class TestRetention:
