@@ -24,20 +24,25 @@ a true unbounded online session over a
 :class:`~repro.streams.online.OnlineStream`; memory stays constant
 unless ``--trace`` asks for the full trace summary.
 
-``serve`` speaks line-delimited JSON on stdin/stdout: ``ingest``
-requests push timestamps into a hot session, query requests (``point``
-/ ``topk`` / ``range`` / ``sliding`` / ``summary``) are answered from a
-capacity-bounded :class:`~repro.query.ReleaseStore` — an unbounded
-standing query server in O(capacity · d) memory.  ``query`` answers the
-same queries one-shot against a run saved with ``run --save-json``.
+``serve`` is one server (:class:`~repro.serving.ShardServer`) with two
+transports over the same line-delimited JSON protocol: by default it
+reads requests on stdin and answers on stdout, with the population in
+one shard inside this process; ``--shards K`` listens on a TCP socket
+instead and partitions the population across K worker processes.
+``ingest`` requests push timestamps into the hot sessions; query
+requests (``point`` / ``topk`` / ``range`` / ``sliding`` / the DSL /
+``summary``) are answered from a capacity-bounded merged
+:class:`~repro.query.ReleaseStore` — an unbounded standing query server
+in O(capacity · d) memory.  ``query`` answers the same queries one-shot
+against a run saved with ``run --save-json``.
 
 ``stream`` and ``serve`` become **durable** with ``--state-dir DIR``:
 each flushed chunk commits its releases to an fsync'd write-ahead log
-and every ``--checkpoint-every N`` chunks a full session checkpoint is
-written atomically, so a crashed process restarted with the replayed
-feed resumes mid-stream with exactly-once ingestion (re-sent timestamps
-are acknowledged as skipped) and bit-identical output — see
-``docs/PERSISTENCE.md``.
+(before ``serve`` acknowledges them) and every ``--checkpoint-every N``
+chunks a full checkpoint is written atomically, so a crashed process
+restarted with the replayed feed resumes mid-stream with exactly-once
+ingestion (re-sent timestamps are acknowledged as skipped) and
+bit-identical output — see ``docs/PERSISTENCE.md``.
 
 Examples
 --------
@@ -178,18 +183,17 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="run the sharded asyncio socket server instead of the stdin "
-        "loop: partition the population across K worker processes and "
-        "answer queries from the merged release store (requires "
-        "--n-users; see docs/SERVING.md)",
+        help="serve TCP clients instead of stdin: the same server, with "
+        "the population partitioned across K worker processes and queries "
+        "answered from the merged release store (see docs/SERVING.md)",
     )
     serve.add_argument(
         "--n-users",
         type=int,
         default=None,
         metavar="N",
-        help="population size (required with --shards; the stdin loop "
-        "infers it from the first ingest instead)",
+        help="population size (default: from the resumed --state-dir, "
+        "else from the first ingest)",
     )
     serve.add_argument(
         "--port",
@@ -628,114 +632,29 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _serve_answer(planner, session, request: dict) -> dict:
-    """Answer one parsed ``serve`` request against the live engine.
+def _cmd_serve(args) -> int:
+    """``repro serve``: one :class:`~repro.serving.ShardServer`, two
+    transports.
 
-    Every query op lowers through the :class:`~repro.query.QueryPlanner`
-    — the four classic verbs keep their legacy reply shapes, and the
-    DSL composites (``filter``/``groupby``/``changepoint``/
-    ``threshold``, plus ``{"op": "query"}`` envelopes carrying text
-    ``expr``) answer over the same store.
+    Without ``--shards`` it answers JSONL from ``--input`` (stdin) on
+    stdout with one shard on a thread of this process; with
+    ``--shards K`` it prints a JSON hello line (``{"event":
+    "listening", "port": ...}``) and serves TCP clients from K worker
+    processes until a ``shutdown`` request.  Either way every line goes
+    through the same handler; the protocol and the exactness contract
+    are documented in ``docs/SERVING.md``.
     """
-    from .query.dsl import QUERY_OPS, query_from_request
+    import contextlib
 
-    op = request.get("op")
-    if op == "summary":
-        store = planner.engine_for(None).store
-        return {
-            "op": op,
-            **session.summary(),
-            "retained": len(store),
-            "oldest_t": store.oldest_t,
-            "latest_t": store.latest_t,
-            "evicted": store.evicted,
-        }
-    if op != "query" and op not in QUERY_OPS:
-        raise InvalidParameterError(
-            f"unknown op {op!r}; expected ingest/"
-            + "/".join(QUERY_OPS)
-            + "/query/standing/summary"
-        )
-    return planner.answer(query_from_request(request))
-
-
-def _serve_standing(registry, request: dict) -> dict:
-    """Register / unregister / list standing queries (stdin loop).
-
-    Alert events print as their own stdout lines after the ingest acks
-    of each flushed chunk (the solo loop's single client is stdout).
-    """
-    from .query.dsl import parse_expr, query_from_request
-
-    action = request.get("action")
-    if action == "register":
-        if "expr" in request:
-            expr = request["expr"]
-            if not isinstance(expr, str):
-                raise InvalidParameterError(
-                    f"'expr' must be a string, got {expr!r}"
-                )
-            query = parse_expr(expr)
-        elif "q" in request:
-            query = query_from_request(request["q"])
-        else:
-            raise InvalidParameterError(
-                "a standing register needs 'expr' (text syntax) or 'q' "
-                "(wire form)"
-            )
-        standing = registry.register(request.get("id"), query)
-        return {"op": "standing", "action": action, **standing.describe()}
-    if action == "unregister":
-        sid = request.get("id")
-        if not isinstance(sid, str):
-            raise InvalidParameterError(
-                f"a standing unregister needs a string 'id', got {sid!r}"
-            )
-        return {
-            "op": "standing",
-            "action": action,
-            "id": sid,
-            "removed": registry.unregister(sid),
-        }
-    if action == "list":
-        return {
-            "op": "standing",
-            "action": action,
-            "standing": registry.describe(),
-        }
-    raise InvalidParameterError(
-        f"unknown standing action {action!r}; expected "
-        f"register/unregister/list"
-    )
-
-
-def _cmd_serve_sharded(args) -> int:
-    """``serve --shards K``: the asyncio socket server over K workers.
-
-    Prints a JSON hello line (``{"event": "listening", "port": ...}``)
-    once the tier is up, then serves line-delimited JSON over TCP until
-    a ``shutdown`` request.  The merged answers conform to the serial
-    :class:`~repro.serving.ShardedSession` bit-for-bit; the contract is
-    documented in ``docs/SERVING.md``.
-    """
     from .serving import ServeConfig, run_server
 
-    if args.n_users is None:
-        raise InvalidParameterError(
-            "--shards needs --n-users: the population partitions across "
-            "shards before the first ingest arrives"
-        )
-    if args.capacity < 0:
-        raise InvalidParameterError(
-            f"capacity must be >= 0, got {args.capacity}"
-        )
     config = ServeConfig(
         mechanism=args.method,
         n_users=args.n_users,
         domain_size=args.domain_size,
         epsilon=args.epsilon,
         window=args.window,
-        num_shards=args.shards,
+        num_shards=1 if args.shards is None else args.shards,
         oracle=args.oracle,
         seed=args.seed,
         postprocess=args.postprocess,
@@ -747,68 +666,8 @@ def _cmd_serve_sharded(args) -> int:
         port=args.port,
         fast=args.fast,
     )
-    return run_server(config)
-
-
-def _cmd_serve(args) -> int:
-    """Standing query server: JSONL requests in, JSONL answers out.
-
-    With ``--state-dir`` the server is durable: every flushed ingest
-    chunk commits its releases to a fsync'd write-ahead log before
-    answering, full checkpoints land every ``--checkpoint-every``
-    chunks, and a restarted server resumes from the latest checkpoint —
-    already-ingested timestamps of a replayed feed are acknowledged with
-    ``{"op": "ingest", "t": ..., "skipped": true}`` instead of being
-    re-applied (exactly-once ingestion).
-    """
-    import contextlib
-    import json
-
-    from .engine import StreamSession
-    from .query import (
-        QueryEngine,
-        QueryPlanner,
-        ReleaseStore,
-        StandingRegistry,
-    )
-    from .streams.online import OnlineStream, snapshot_from_json
-
-    from .freq_oracles import get_oracle
-    from .freq_oracles.postprocess import get_postprocessor
-    from .mechanisms import get_mechanism
-
     if args.shards is not None:
-        return _cmd_serve_sharded(args)
-    if args.capacity < 0:
-        raise InvalidParameterError(
-            f"capacity must be >= 0, got {args.capacity}"
-        )
-    if args.domain_size < 2:
-        raise InvalidParameterError(
-            f"domain-size must be >= 2, got {args.domain_size}"
-        )
-    if args.epsilon <= 0:
-        raise InvalidParameterError(
-            f"epsilon must be positive, got {args.epsilon}"
-        )
-    if args.window < 1:
-        raise InvalidParameterError(
-            f"window must be >= 1, got {args.window}"
-        )
-    if not 0.0 < args.confidence < 1.0:
-        raise InvalidParameterError(
-            f"confidence must be in (0, 1), got {args.confidence}"
-        )
-    if args.chunk < 1:
-        raise InvalidParameterError(f"chunk must be >= 1, got {args.chunk}")
-    # Fail fast on every configuration error (typo'd method/oracle/
-    # postprocess, out-of-range numerics) instead of emitting an error
-    # line per request and exiting 0.
-    mech_name = get_mechanism(args.method).name
-    oracle_name = get_oracle(args.oracle).name
-    get_postprocessor(args.postprocess)
-    capacity = None if args.capacity == 0 else args.capacity
-    state, checkpoint, watermark = _prepare_state_dir(args)
+        return run_server(config)
     with contextlib.ExitStack() as stack:
         if args.input == "-":
             source = sys.stdin
@@ -816,260 +675,7 @@ def _cmd_serve(args) -> int:
             source = stack.enter_context(
                 open(args.input, "r", encoding="utf-8")
             )
-        session: Optional[StreamSession] = None
-        stream: Optional[OnlineStream] = None
-        engine: Optional[QueryEngine] = None
-        planner: Optional[QueryPlanner] = None
-        registry: Optional[StandingRegistry] = None
-        if checkpoint is not None:
-            session, stream = _resume_session(
-                checkpoint,
-                expect={
-                    "mechanism": mech_name,
-                    "oracle": oracle_name,
-                    "postprocess": args.postprocess,
-                    "epsilon": float(args.epsilon),
-                    "window": int(args.window),
-                    "domain_size": int(args.domain_size),
-                    "record_trace": False,
-                },
-                chunk=args.chunk,
-            )
-            if session.store is None or session.store.capacity != capacity:
-                from .exceptions import CheckpointError
-
-                found = (
-                    "no store"
-                    if session.store is None
-                    else f"capacity {session.store.capacity}"
-                )
-                raise CheckpointError(
-                    f"--state-dir checkpoint disagrees with the flags: "
-                    f"release store has {found} in the checkpoint but "
-                    f"capacity {capacity!r} on the command line"
-                )
-            engine = QueryEngine(session.store, confidence=args.confidence)
-            planner = QueryPlanner(engine)
-            registry = StandingRegistry(planner)
-        wal = None
-        if state is not None:
-            from .persist import Checkpoint
-
-            wal = stack.enter_context(state.open_wal())
-        pending: list = []
-        skip_remaining = watermark
-        flushed_chunks = 0
-        handled = 0
-
-        class _FatalIngestError(Exception):
-            """Session/stream pair desynchronized; the server must exit."""
-
-        def flush() -> None:
-            """Ingest the buffered snapshots; one answer line each.
-
-            A snapshot the stream rejects (e.g. wrong population size)
-            ends its sub-batch with an error answer — the stream did not
-            advance for it, so the server stays consistent — and the
-            rest of the buffer continues.  A session failure *after* the
-            stream advanced is fatal, exactly as in the per-request
-            path.
-
-            With ``--state-dir``, each successfully ingested sub-batch
-            commits to the WAL after its acks (WAL first, checkpoint
-            second — the StateDir resume invariant).
-            """
-            nonlocal flushed_chunks
-            start = 0
-            while start < len(pending):
-                timestamps = []
-                failure = None
-                for values in pending[start:]:
-                    try:
-                        timestamps.append(stream.push(values))
-                    except ReproError as error:
-                        failure = error
-                        break
-                if timestamps:
-                    try:
-                        records = session.observe_many(
-                            timestamps[0], len(timestamps)
-                        )
-                    except ReproError as error:
-                        # The stream advanced but the session did not
-                        # (and may have been left mid-step): the pair is
-                        # permanently desynchronized, so unlike bad
-                        # requests this is fatal.
-                        print(
-                            json.dumps(
-                                {
-                                    "error": f"{type(error).__name__}: "
-                                    f"{error}",
-                                    "fatal": True,
-                                }
-                            ),
-                            flush=True,
-                        )
-                        print(
-                            f"error: ingestion failed at "
-                            f"t={timestamps[0]}; session state is no "
-                            f"longer consistent with the stream: {error}",
-                            file=sys.stderr,
-                        )
-                        raise _FatalIngestError() from error
-                    for t, record in zip(timestamps, records):
-                        print(
-                            json.dumps(
-                                {
-                                    "op": "ingest",
-                                    "t": t,
-                                    "strategy": record.strategy,
-                                }
-                            ),
-                            flush=True,
-                        )
-                    if wal is not None:
-                        for t, record in zip(timestamps, records):
-                            wal.append(
-                                t,
-                                session.postprocessor(record.release),
-                                record.strategy,
-                                session.store.variance_at(t)
-                                if session.store.oldest_t is not None
-                                and t >= session.store.oldest_t
-                                else None,
-                            )
-                        wal.commit(session.steps_observed)
-                        flushed_chunks += 1
-                        if flushed_chunks % args.checkpoint_every == 0:
-                            state.save_checkpoint(
-                                Checkpoint.capture(session)
-                            )
-                start += len(timestamps)
-                if failure is not None:
-                    print(
-                        json.dumps(
-                            {
-                                "error": f"{type(failure).__name__}: "
-                                f"{failure}"
-                            }
-                        ),
-                        flush=True,
-                    )
-                    start += 1
-            pending.clear()
-            # Standing queries advance over exactly the timestamps this
-            # flush ingested; alerts are their own stdout lines.
-            if registry is not None:
-                for _, event in registry.poll():
-                    print(json.dumps(event), flush=True)
-
-        try:
-            for line in source:
-                if not line.strip():
-                    continue
-                handled += 1
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise InvalidParameterError(
-                            "each request must be a JSON object"
-                        )
-                    if request.get("op") == "ingest":
-                        values = snapshot_from_json(request["values"])
-                        if skip_remaining > 0:
-                            # Ingested before the crash; the replayed
-                            # feed re-sends it and exactly-once means we
-                            # acknowledge without re-applying.
-                            t_skip = watermark - skip_remaining
-                            skip_remaining -= 1
-                            print(
-                                json.dumps(
-                                    {
-                                        "op": "ingest",
-                                        "t": t_skip,
-                                        "skipped": True,
-                                    }
-                                ),
-                                flush=True,
-                            )
-                            continue
-                        if session is None:
-                            # Population size = whatever the first
-                            # timestamp carries, exactly like `repro
-                            # stream`.  The ring must retain a whole
-                            # chunk of pushed-but-unobserved snapshots.
-                            stream = OnlineStream(
-                                n_users=len(values),
-                                domain_size=args.domain_size,
-                                retain=max(4, args.chunk),
-                            )
-                            store = ReleaseStore(
-                                args.domain_size, capacity=capacity
-                            )
-                            session = StreamSession(
-                                args.method,
-                                stream,
-                                epsilon=args.epsilon,
-                                window=args.window,
-                                oracle=args.oracle,
-                                seed=args.seed,
-                                postprocess=args.postprocess,
-                                record_trace=False,
-                                store=store,
-                                fast=args.fast,
-                            ).start()
-                            engine = QueryEngine(
-                                store, confidence=args.confidence
-                            )
-                            planner = QueryPlanner(engine)
-                            registry = StandingRegistry(planner)
-                        pending.append(values)
-                        if len(pending) >= args.chunk:
-                            flush()
-                        continue
-                    if session is None:
-                        raise InvalidParameterError(
-                            "no timestamps ingested yet; send an ingest "
-                            "request first"
-                        )
-                    # Queries answer against everything ingested so far,
-                    # so buffered snapshots go in first.  (Standing
-                    # registrations too: the watermark they anchor at is
-                    # the one the client saw acked.)
-                    flush()
-                    if request.get("op") == "standing":
-                        answer = _serve_standing(registry, request)
-                    else:
-                        answer = _serve_answer(planner, session, request)
-                except (
-                    ReproError,
-                    KeyError,
-                    ValueError,
-                    TypeError,
-                    OverflowError,
-                ) as error:
-                    # OverflowError included: Python's json accepts
-                    # Infinity, and int(float("inf")) in a query field
-                    # overflows — a malformed request must produce an
-                    # error line, not kill a server holding buffered
-                    # timestamps.
-                    # Buffered ingests answer first so output lines keep
-                    # request order even around a bad request.
-                    flush()
-                    answer = {"error": f"{type(error).__name__}: {error}"}
-                print(json.dumps(answer), flush=True)
-            if session is not None:
-                flush()
-                if state is not None:
-                    # EOF checkpoint: a clean restart resumes exactly
-                    # here with nothing to recompute.
-                    state.save_checkpoint(Checkpoint.capture(session))
-        except _FatalIngestError:
-            return 2
-        if not handled:
-            print("error: no requests received", file=sys.stderr)
-            return 2
-    return 0
+        return run_server(config, stdin=source)
 
 
 def _cmd_query(args) -> int:

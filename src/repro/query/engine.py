@@ -192,10 +192,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _resolve_t(self, t: Optional[int]) -> int:
         if t is None:
-            latest = self.store.latest_t
-            if latest is None:
-                raise InvalidParameterError("the release store is empty")
-            return latest
+            return self.store.require_latest_t()
         return int(t)
 
     def _check_item(self, item: int) -> int:

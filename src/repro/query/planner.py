@@ -253,12 +253,7 @@ class QueryPlanner:
         validates each item with the same domain error."""
         if not items:
             return IntervalEstimate(0.0, 0.0, engine.confidence)
-        if t is None:
-            t_eff = engine.store.latest_t
-            if t_eff is None:
-                raise InvalidParameterError("the release store is empty")
-        else:
-            t_eff = t
+        t_eff = engine.store.require_latest_t() if t is None else t
         estimate = engine.store.subset_sum(t_eff, items)
         variance = len(items) * engine.store.variance_at(t_eff)
         return IntervalEstimate(
@@ -404,8 +399,7 @@ class QueryPlanner:
         ]
 
         def run():
-            if store.latest_t is None:
-                raise InvalidParameterError("the release store is empty")
+            store.require_latest_t()
             t0 = query.t0 if query.t0 is not None else store.oldest_t
             t1 = query.t1 if query.t1 is not None else store.latest_t
             if t0 > t1:

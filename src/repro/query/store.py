@@ -363,6 +363,15 @@ class ReleaseStore:
         """Most recent retained timestamp (``None`` if empty)."""
         return self._slots[-1].t if self._slots else None
 
+    def require_latest_t(self) -> int:
+        """:attr:`latest_t`, raising the one empty-store error if empty."""
+        if not self._slots:
+            raise InvalidParameterError(
+                "the release store is empty: no timestamp has been "
+                "ingested yet (send an ingest request first)"
+            )
+        return self._slots[-1].t
+
     @property
     def oldest_t(self) -> Optional[int]:
         """Oldest retained timestamp (``None`` if empty)."""

@@ -32,8 +32,9 @@ def shard_seed(seed: SeedLike, shard: int, num_shards: int) -> SeedLike:
     """Per-shard session seed derived from the master seed.
 
     With one shard the master seed passes through *unchanged*, which is
-    what makes a 1-shard deployment bit-identical to the solo
-    ``repro serve`` process (same generator, same draws).  With more
+    what makes a 1-shard deployment bit-identical to a solo
+    :class:`~repro.engine.session.StreamSession` (same generator, same
+    draws).  With more
     shards each gets an independent deterministic child seed keyed by
     ``(shard, num_shards)``.
     """

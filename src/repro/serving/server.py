@@ -1,10 +1,20 @@
-"""Asyncio sharded serving front: sockets in, merged answers out.
+"""The serving tier: one asyncio dispatcher, two transports.
 
-``repro serve --shards K`` runs this server: an asyncio TCP front-end on
-localhost accepting line-delimited JSON from any number of concurrent
-clients, backed by ``K`` shard worker processes
-(:mod:`repro.serving.worker`), each owning one sub-population's
-:class:`~repro.engine.session.StreamSession`.
+``repro serve`` runs this server in one of two transports over the same
+per-line handler (:meth:`ShardServer._handle`):
+
+* **socket** (``--shards K``): an asyncio TCP front-end on localhost
+  accepting line-delimited JSON from any number of concurrent clients,
+  backed by ``K`` shard worker processes (:mod:`repro.serving.worker`);
+* **stdin** (no ``--shards``): JSONL requests on stdin, answers on
+  stdout, no hello line, and one shard that runs the same worker loop
+  on a thread of this process over an in-process pipe.
+
+Each shard owns one sub-population's
+:class:`~repro.engine.session.StreamSession`.  The population size N is
+``--n-users`` when given, else the resumed ``front.json``'s, else the
+length of the first valid ingest; the router and the shards start once
+N is known.
 
 **Ordering.**  All client lines funnel through one dispatcher coroutine,
 so the server imposes a single global serialization: timestamps are
@@ -14,21 +24,24 @@ feeding the same line sequence to the serial
 :class:`~repro.serving.sharded.ShardedSession` — which is the property
 the conformance suite checks bit-for-bit.
 
-**Batching.**  Ingest lines buffer until ``chunk`` of them are pending,
-the queue drains empty, or a query arrives; the batch then flushes to
+**Batching.**  Ingest lines buffer until ``chunk`` of them are pending
+or another op arrives; the socket transport also flushes whenever its
+queue drains empty, the stdin transport at EOF.  The batch flushes to
 all shards *in parallel* (one ``observe_many`` per shard) and the merged
 rows are acknowledged per line.  Batch boundaries provably cannot change
 any result (``observe_many`` is chunk-invariant and the merge is per
 timestamp), so dynamic batching is pure throughput.
 
 **Durability.**  With ``state_dir`` every shard keeps its own WAL +
-checkpoints under ``<dir>/shard-XX/`` and the front atomically writes
-``front.json`` (merged store snapshot + watermark) *after* all shard
-checkpoint acks — so ``W_front <= W_shard`` always holds.  On restart
-the front resumes its merged store from ``front.json``, rebuilds the
-``[W_front, min W_shard)`` gap from the shards' committed WAL rows, and
-skips re-sent timestamps per shard until every shard is live again.
-Resuming under a different ``--shards`` is refused
+checkpoints under ``<dir>/shard-XX/`` (:func:`shard_state_dir`) and
+commits its WAL before replying, so every ack follows its durable
+record.  The front atomically writes ``front.json`` (merged store
+snapshot + watermark) *after* all shard checkpoint acks — so
+``W_front <= W_shard`` always holds.  On restart the front resumes its
+merged store from ``front.json``, rebuilds the ``[W_front, min
+W_shard)`` gap from the shards' committed WAL rows, and skips re-sent
+timestamps per shard until every shard is live again.  Resuming under a
+different ``--shards`` is refused
 (:class:`~repro.exceptions.CheckpointError`): resharding reshuffles the
 user partition and no shard's state remains valid.
 
@@ -45,6 +58,7 @@ import multiprocessing
 import os
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +76,7 @@ from ..query.dsl import QUERY_OPS, parse_expr, query_from_request
 from ..query.engine import QueryEngine
 from ..query.planner import QueryPlanner
 from ..query.standing import StandingRegistry
+from ..persist.statedir import CHECKPOINT_FILE, WAL_FILE
 from ..query.store import ReleaseStore, merge_release_rows
 from ..streams.online import snapshot_from_json
 from .router import ShardRouter, shard_seed
@@ -72,6 +87,11 @@ _FRONT_FORMAT = "repro-front"
 FRONT_VERSION = 1
 
 _B64_DTYPES = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
+
+
+def shard_state_dir(state_dir, shard: int) -> Path:
+    """Shard ``shard``'s own state directory inside a tier's ``state_dir``."""
+    return Path(state_dir) / f"shard-{shard:02d}"
 
 #: Front-checkpoint config keys a resume must match exactly.  A
 #: ``num_shards`` mismatch is the reshard-refusal path: the hash
@@ -93,10 +113,14 @@ _CONFIG_KEYS = (
 
 @dataclass
 class ServeConfig:
-    """Configuration of a sharded serving tier (CLI ``serve --shards``)."""
+    """Configuration of the serving tier (CLI ``serve``, either transport).
+
+    ``n_users`` may be ``None``: the tier then takes N from the resumed
+    ``front.json`` or, on a fresh start, from the first valid ingest.
+    """
 
     mechanism: str
-    n_users: int
+    n_users: Optional[int]
     domain_size: int
     epsilon: float
     window: int
@@ -124,16 +148,17 @@ class ServeConfig:
         self.mechanism = get_mechanism(self.mechanism).name
         self.oracle = get_oracle(self.oracle).name
         get_postprocessor(self.postprocess)
-        self.n_users = int(self.n_users)
         self.domain_size = int(self.domain_size)
         self.epsilon = float(self.epsilon)
         self.window = int(self.window)
         self.num_shards = int(self.num_shards)
         self.chunk = int(self.chunk)
-        if self.n_users < 1:
-            raise InvalidParameterError(
-                f"n_users must be positive, got {self.n_users}"
-            )
+        if self.n_users is not None:
+            self.n_users = int(self.n_users)
+            if self.n_users < 1:
+                raise InvalidParameterError(
+                    f"n_users must be positive, got {self.n_users}"
+                )
         if self.domain_size < 2:
             raise InvalidParameterError(
                 f"domain_size must be >= 2, got {self.domain_size}"
@@ -170,7 +195,7 @@ class ServeConfig:
     @property
     def retain(self) -> int:
         """Stream retention ring: must hold a whole pushed-but-unobserved
-        chunk, same rule as the solo server."""
+        chunk."""
         return max(4, self.chunk)
 
     def recorded(self) -> dict:
@@ -190,11 +215,11 @@ class ServeConfig:
 
 
 class _WorkerHandle:
-    """One shard worker process + its command pipe (front side)."""
+    """One shard worker (process or thread) + its command pipe (front side)."""
 
-    def __init__(self, index: int, process, conn):
+    def __init__(self, index: int, runner, conn):
         self.index = index
-        self.process = process
+        self.runner = runner
         self.conn = conn
 
     def call(self, *message):
@@ -208,16 +233,39 @@ class _WorkerHandle:
                 f"({message[0]!r})"
             ) from error
         if reply[0] == "error":
-            raise ServingError(f"shard {self.index}: {reply[1]}")
+            raise ServingError(
+                f"shard {self.index} failed on {message[0]!r} and is no "
+                f"longer consistent with the tier: {reply[1]}"
+            )
         return reply
 
 
-class ShardServer:
-    """The sharded serving tier: workers, merged store, asyncio front."""
+class _LineWriter:
+    """A text stream as the stdin transport's one client: the
+    ``write``/``drain`` pair :meth:`ShardServer._send` expects."""
 
-    def __init__(self, config: ServeConfig):
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, data: bytes) -> None:
+        self._stream.write(data.decode("utf-8"))
+
+    async def drain(self) -> None:
+        self._stream.flush()
+
+
+class ShardServer:
+    """The serving tier: shard workers, merged store, asyncio dispatcher.
+
+    ``in_process`` runs each shard's worker loop on a thread of this
+    process over an in-process pipe (the stdin transport) instead of in
+    a spawned process.
+    """
+
+    def __init__(self, config: ServeConfig, *, in_process: bool = False):
         self.config = config
-        self.router = ShardRouter(config.n_users, config.num_shards)
+        self.in_process = in_process
+        self.router: Optional[ShardRouter] = None
         self.merged = ReleaseStore(config.domain_size, capacity=config.capacity)
         self.engine = QueryEngine(self.merged, confidence=config.confidence)
         self.planner = QueryPlanner(self.engine)
@@ -245,15 +293,45 @@ class ShardServer:
         return self.merged._next_t
 
     # ------------------------------------------------------------------
-    # Bootstrap (blocking; runs before the event loop)
+    # Bootstrap (blocking)
     # ------------------------------------------------------------------
     def start(self) -> "ShardServer":
-        """Resume the front store, spawn workers, rebuild the crash gap."""
+        """Resume the front store; start the shards if N is known.
+
+        N is ``config.n_users``, else the resumed ``front.json``'s;
+        failing both, the first valid ingest fixes it
+        (:meth:`_parse_ingest`).
+        """
         if self._started:
             raise InvalidParameterError("server already started")
         if self.state_root is not None:
             self.state_root.mkdir(parents=True, exist_ok=True)
+            stray = [
+                name
+                for name in (CHECKPOINT_FILE, WAL_FILE)
+                if (self.state_root / name).exists()
+            ]
+            if stray and not (self.state_root / FRONT_FILE).exists():
+                # Starting over at t=0 here would re-release timestamps
+                # that were already published, with fresh randomness.
+                raise CheckpointError(
+                    f"{self.state_root} has the single-session state-dir "
+                    f"layout ({' + '.join(stray)} at its root, no "
+                    f"{FRONT_FILE}) of the old stdin serve loop or "
+                    f"`repro stream`; `repro serve` keeps {FRONT_FILE} + "
+                    f"shard-XX/ and cannot resume it — use a fresh "
+                    f"--state-dir"
+                )
             self._load_front()
+        if self.config.n_users is not None:
+            self._start_shards(self.config.n_users)
+        self._started = True
+        return self
+
+    def _start_shards(self, n_users: int) -> None:
+        """Partition N users, spawn the workers, rebuild the crash gap."""
+        self.router = ShardRouter(n_users, self.config.num_shards)
+        self.config.n_users = self.router.n_users
         front_mark = self.watermark
         ctx = multiprocessing.get_context("spawn")
         config = self.config
@@ -274,20 +352,31 @@ class ShardServer:
                 "state_dir": (
                     None
                     if self.state_root is None
-                    else str(self.state_root / f"shard-{s:02d}")
+                    else str(shard_state_dir(self.state_root, s))
                 ),
                 "replay_from": front_mark,
             }
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=shard_worker_main,
-                args=(child_conn, worker_config),
-                daemon=True,
-            )
-            process.start()
-            # The front's copy must close so a dead front EOFs the worker.
-            child_conn.close()
-            self.workers.append(_WorkerHandle(s, process, parent_conn))
+            if self.in_process:
+                parent_conn, child_conn = multiprocessing.Pipe()
+                runner = threading.Thread(
+                    target=shard_worker_main,
+                    args=(child_conn, worker_config),
+                    name=f"shard-{s:02d}",
+                    daemon=True,
+                )
+                runner.start()
+            else:
+                parent_conn, child_conn = ctx.Pipe()
+                runner = ctx.Process(
+                    target=shard_worker_main,
+                    args=(child_conn, worker_config),
+                    daemon=True,
+                )
+                runner.start()
+                # The front's copy must close so a dead front EOFs the
+                # worker.
+                child_conn.close()
+            self.workers.append(_WorkerHandle(s, runner, parent_conn))
         for handle in self.workers:
             try:
                 reply = handle.conn.recv()
@@ -317,8 +406,6 @@ class ShardServer:
         for t in range(front_mark, catch_up_to):
             self.merged.append(t, *self._merged_row(t, {}))
         self._skip_remaining = self.watermark
-        self._started = True
-        return self
 
     def _merged_row(self, t: int, fresh: Dict[int, tuple]):
         """Merge timestamp ``t`` across shards from live replies + caches.
@@ -378,6 +465,8 @@ class ShardServer:
         recorded = payload.get("config")
         if not isinstance(recorded, dict):
             raise CheckpointError(f"{path} has no 'config' section")
+        if self.config.n_users is None:
+            self.config.n_users = recorded.get("n_users")
         expect = self.config.recorded()
         mismatches = [
             f"{key} is {recorded.get(key)!r} in the checkpoint but "
@@ -467,9 +556,10 @@ class ShardServer:
             ).astype(np.int64)
         else:
             values = snapshot_from_json(request["values"])
-        if values.shape != (self.config.n_users,):
+        n_users = self.config.n_users
+        if n_users is not None and values.shape != (n_users,):
             raise InvalidParameterError(
-                f"ingest snapshot must carry {self.config.n_users} values, "
+                f"ingest snapshot must carry {n_users} values, "
                 f"got {values.shape[0] if values.ndim == 1 else values.shape}"
             )
         if values.size and (
@@ -479,6 +569,13 @@ class ShardServer:
             raise InvalidParameterError(
                 f"ingest values outside [0, {self.config.domain_size})"
             )
+        if self.router is None:
+            # The first valid ingest fixes N.  A bad N is this line's
+            # error; a shard that cannot bootstrap is fatal.
+            try:
+                self._start_shards(values.shape[0])
+            except CheckpointError as error:
+                raise ServingError(str(error)) from error
         return values
 
     async def _flush(self) -> None:
@@ -544,6 +641,8 @@ class ShardServer:
             raise CheckpointError(
                 "the server has no --state-dir to checkpoint into"
             )
+        if self.router is None:
+            return  # no shards yet: nothing ingested, nothing to persist
         loop = asyncio.get_running_loop()
         await asyncio.gather(
             *(
@@ -630,6 +729,10 @@ class ShardServer:
         )
 
     async def _summary(self) -> dict:
+        if self.router is None:
+            raise InvalidParameterError(
+                "no timestamps ingested yet; send an ingest request first"
+            )
         loop = asyncio.get_running_loop()
         replies = await asyncio.gather(
             *(
@@ -697,17 +800,16 @@ class ShardServer:
             except RuntimeError:
                 pass
 
-    async def _dispatch(self) -> None:
-        """The single serialization point: drain requests, batch, answer."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                # Idle: nothing else is pending, so a partial batch
-                # flushes now instead of waiting for more arrivals.
-                await self._flush()
-                item = await self._queue.get()
-            line, writer = item
+    async def _handle(self, line, writer) -> bool:
+        """Serve one request line; ``True`` once it was ``shutdown``.
+
+        Both transports feed every line through here in arrival order.
+        Ingests buffer until ``chunk`` are pending; any other op flushes
+        the buffer first.  A bad line answers an error line; a lost
+        shard answers a ``fatal`` error line and raises
+        :class:`~repro.exceptions.ServingError`.
+        """
+        try:
             try:
                 request = json.loads(line)
                 if not isinstance(request, dict):
@@ -726,7 +828,7 @@ class ShardServer:
                             writer,
                             {"op": "ingest", "t": t_skip, "skipped": True},
                         )
-                        continue
+                        return False
                     self._buffer.append((values, writer))
                     if len(self._buffer) >= self.config.chunk:
                         await self._flush()
@@ -738,28 +840,20 @@ class ShardServer:
                     await self._send(
                         writer, self._standing_request(request, writer)
                     )
-                elif op == "checkpoint":
+                elif op in ("checkpoint", "shutdown"):
                     await self._flush()
-                    await self._checkpoint()
-                    await self._send(
-                        writer,
-                        {"op": "checkpoint", "watermark": self.watermark},
-                    )
-                elif op == "shutdown":
-                    await self._flush()
-                    if self.state_root is not None:
+                    if op == "checkpoint" or self.state_root is not None:
                         await self._checkpoint()
                     await self._send(
-                        writer,
-                        {"op": "shutdown", "watermark": self.watermark},
+                        writer, {"op": op, "watermark": self.watermark}
                     )
-                    return
+                    return op == "shutdown"
                 else:
                     # Queries answer against everything ingested so far.
                     await self._flush()
                     await self._send(writer, await self._answer(request))
             except ServingError:
-                raise  # a lost shard is fatal; the server cannot continue
+                raise
             except (
                 ReproError,
                 KeyError,
@@ -772,6 +866,49 @@ class ShardServer:
                     writer,
                     {"error": f"{type(error).__name__}: {error}"},
                 )
+        except ServingError as error:
+            # A lost shard is fatal: the tier cannot answer any more.
+            await self._send(
+                writer,
+                {"error": f"{type(error).__name__}: {error}", "fatal": True},
+            )
+            raise
+        return False
+
+    async def _dispatch(self) -> None:
+        """Socket transport: drain the queue, flushing when it idles."""
+        while True:
+            try:
+                line, writer = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                # Idle: nothing else is pending, so a partial batch
+                # flushes now instead of waiting for more arrivals.
+                await self._flush()
+                line, writer = await self._queue.get()
+            if await self._handle(line, writer):
+                return
+
+    async def _serve_lines(self, source, stdout) -> int:
+        """Stdin transport: ``source`` lines in, answers on ``stdout``.
+
+        No idle flush: a partial batch waits for ``chunk``, another op
+        or EOF.  EOF flushes and checkpoints like ``shutdown`` but
+        answers nothing.
+        """
+        writer = _LineWriter(stdout)
+        handled = False
+        for line in source:
+            if not line.strip():
+                continue
+            handled = True
+            if await self._handle(line, writer):
+                return 0
+        if not handled:
+            raise InvalidParameterError("no requests received")
+        await self._flush()
+        if self.state_root is not None:
+            await self._checkpoint()
+        return 0
 
     async def _amain(self, stdout) -> int:
         self._queue = asyncio.Queue()
@@ -811,9 +948,9 @@ class ShardServer:
             except (OSError, BrokenPipeError):
                 pass
         for handle in self.workers:
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.process.terminate()
+            handle.runner.join(timeout=5)
+            if handle.runner.is_alive() and not self.in_process:
+                handle.runner.terminate()
             try:
                 handle.conn.close()
             except OSError:
@@ -822,15 +959,21 @@ class ShardServer:
         self._pool.shutdown(wait=False)
 
 
-def run_server(config: ServeConfig, *, stdout=None) -> int:
-    """Bootstrap the tier and serve until a ``shutdown`` request.
+def run_server(config: ServeConfig, *, stdout=None, stdin=None) -> int:
+    """Bootstrap the tier and serve until ``shutdown`` (or EOF).
 
-    Blocking entry point used by ``repro serve --shards``.  Prints the
-    hello line (ephemeral port + watermark) to ``stdout`` once listening.
+    Without ``stdin`` this is ``repro serve --shards``: the socket
+    transport, which prints the hello line (ephemeral port + watermark)
+    to ``stdout`` once listening.  With ``stdin`` it is plain
+    ``repro serve``: the stdin transport, shards on threads of this
+    process, answers on ``stdout``.
     """
-    server = ShardServer(config)
-    server.start()
+    stdout = stdout or sys.stdout
+    server = ShardServer(config, in_process=stdin is not None)
     try:
-        return asyncio.run(server._amain(stdout or sys.stdout))
+        server.start()
+        if stdin is None:
+            return asyncio.run(server._amain(stdout))
+        return asyncio.run(server._serve_lines(stdin, stdout))
     finally:
         server.close()

@@ -1,11 +1,12 @@
-"""Shard worker process: one sub-population's session behind a pipe.
+"""Shard worker: one sub-population's session behind a pipe.
 
 Each shard of the serving tier runs :func:`shard_worker_main` in its own
-OS process (spawn context), owning a :class:`~repro.engine.session.
+OS process (spawn context; the socket transport) or on a thread of the
+server (the stdin transport), owning a :class:`~repro.engine.session.
 StreamSession` over the shard's users, its :class:`~repro.query.
-ReleaseStore`, and — when the tier is durable — its own PR-style state
-directory (``<state-dir>/shard-XX/``: write-ahead release log + periodic
-checkpoints, the exact machinery of the solo ``--state-dir`` server).
+ReleaseStore`, and — when the tier is durable — its own state directory
+(``<state-dir>/shard-XX/``: a :class:`~repro.persist.StateDir` with the
+write-ahead release log + periodic checkpoints).
 
 The protocol over the pipe is a strict request/reply alternation driven
 by the front (one in-flight command per worker, ever):
@@ -25,9 +26,9 @@ that threw mid-ingest may be desynchronized from its stream, and the
 merged population store cannot advance without it, so the front
 escalates to :class:`~repro.exceptions.ServingError`.
 
-Durability order inside an ingest mirrors the solo server: WAL append +
-commit *before* the reply, so a row the front merged is always durable
-on the shard; checkpoints are coordinated separately by the front (which
+Durability order inside an ingest: WAL append + commit *before* the
+reply, so a row the front merged (and acked) is always durable on the
+shard; checkpoints are coordinated separately by the front (which
 writes its own ``front.json`` only after every shard's checkpoint ack —
 the cross-shard invariant ``W_front <= W_shard``).  On resume the worker
 ships its committed WAL rows from ``replay_from`` (the front's

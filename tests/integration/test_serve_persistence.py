@@ -3,9 +3,11 @@
 Real subprocesses, real SIGKILLs, real fsync'd WALs: these tests drive
 the served process the way an operator's supervisor would and assert the
 state directory stays consistent through every failure mode — malformed
-input lines, hand-corrupted WALs, EOF mid-chunk, and kill -9 mid-chunk.
+input lines, hand-corrupted WALs, EOF mid-chunk, kill -9 mid-chunk, and
+a state dir in the single-session layout ``serve`` no longer writes.
 """
 
+import io
 import json
 import os
 import signal
@@ -15,9 +17,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from repro.exceptions import WALError
+from repro.cli import main
+from repro.exceptions import CheckpointError, WALError
 from repro.persist import replay_wal
+from repro.persist.statedir import WAL_FILE
+from repro.serving import ServeConfig, ShardServer, shard_state_dir
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -62,7 +68,8 @@ def _run(cmd, lines):
 
 
 def _wal_path(state_dir):
-    return Path(state_dir) / "releases.wal"
+    """The WAL of the stdin transport's one shard."""
+    return shard_state_dir(state_dir, 0) / WAL_FILE
 
 
 class TestMalformedInput:
@@ -164,6 +171,66 @@ class TestMidChunkEOF:
         assert [row["t"] for row in rows] == list(range(9))
 
 
+class TestAckAfterDurable:
+    def test_every_ack_follows_its_wal_commit(self, tmp_path, monkeypatch):
+        """When an ack line is written, the shard WAL already holds a
+        committed watermark past its timestamp: an acked ingest
+        survives any crash right after the ack."""
+        state = tmp_path / "state"
+        audited = []
+
+        class AckAuditor(io.StringIO):
+            def write(self, text):
+                for raw in text.splitlines():
+                    ack = json.loads(raw)
+                    if ack.get("op") == "ingest":
+                        _, watermark = replay_wal(_wal_path(state))
+                        assert watermark > ack["t"], (ack, watermark)
+                        audited.append(ack["t"])
+                return super().write(text)
+
+        feed = "\n".join(_ingests(8)) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(feed))
+        monkeypatch.setattr(sys, "stdout", AckAuditor())
+        assert main(_serve_cmd(state, chunk=3)[3:]) == 0
+        assert audited == list(range(8))
+
+
+class TestSingleSessionLayoutRefused:
+    def test_root_checkpoint_and_wal_fail_fast(self, tmp_path, monkeypatch):
+        """A state dir with ``checkpoint.json``/``releases.wal`` at its
+        root (the old stdin serve loop's layout, also ``repro stream``'s)
+        is refused with a CheckpointError naming the layout — never
+        silently restarted at t=0, which would re-release timestamps."""
+        state = tmp_path / "state"
+        lines = "".join(
+            " ".join(str(v) for v in json.loads(line)["values"]) + "\n"
+            for line in _ingests(5)
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        assert main([
+            "stream", "--method", "LBD", "--domain-size", "4",
+            "--emit", "none", "--state-dir", str(state),
+        ]) == 0
+        config = ServeConfig(
+            "LBD", None, 4, 1.0, 4, state_dir=str(state)
+        )
+        server = ShardServer(config)
+        try:
+            with pytest.raises(
+                CheckpointError, match="single-session state-dir layout"
+            ):
+                server.start()
+        finally:
+            server.close()
+        proc = _run(_serve_cmd(state), _ingests(5))
+        assert proc.returncode == 2
+        assert "single-session state-dir layout" in proc.stderr
+        assert proc.stdout == ""
+        assert not (state / "front.json").exists()
+        assert not shard_state_dir(state, 0).exists()
+
+
 class TestSigkillMidChunk:
     def test_sigkill_mid_chunk_no_duplicate_ingests(self, tmp_path):
         """kill -9 while a chunk is buffered: the WAL keeps only
@@ -194,9 +261,8 @@ class TestSigkillMidChunk:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
 
-        # Acks print before the chunk's WAL commit, so the kill lands
-        # either between the two (watermark 3) or after (watermark 6) —
-        # but never inside the buffered third chunk.
+        # Acks print after their chunk's WAL commit, so both acked
+        # chunks are durable and the buffered third chunk is not.
         rows, watermark = replay_wal(_wal_path(state))
         assert watermark in (3, 6)
         assert [row["t"] for row in rows] == list(range(watermark))

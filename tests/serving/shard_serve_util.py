@@ -45,10 +45,12 @@ def serve_env():
 
 
 def sharded_cmd(*, shards, n_users, extra=(), **overrides):
+    """The serve command line; ``n_users=None`` leaves N to the server."""
     cfg = {**DEFAULTS, **overrides}
+    population = [] if n_users is None else ["--n-users", str(n_users)]
     return [
         sys.executable, "-m", "repro", "serve",
-        "--shards", str(shards), "--n-users", str(n_users),
+        "--shards", str(shards), *population,
         "--method", cfg["method"], "--oracle", cfg["oracle"],
         "--domain-size", str(cfg["domain"]),
         "--epsilon", str(cfg["epsilon"]),

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.serving import ShardRouter
 from shard_serve_util import (
     DEFAULTS,
     ShardServerProc,
@@ -160,6 +161,37 @@ class TestSingleClientConformance:
                     },
                 )
             server.shutdown()
+
+
+class TestPopulationInference:
+    def test_omitted_n_users_is_taken_from_the_first_ingest(self):
+        """Without ``--n-users`` the first ingest fixes N; the transcript
+        is byte-identical to the same feed served with the flag."""
+        block = feed_block(8, N_USERS, DEFAULTS["domain"], seed=57)
+        requests = [
+            {"op": "ingest", "values": row.tolist()} for row in block
+        ] + [
+            {"op": "topk", "k": 3},
+            {"op": "point", "item": 2},
+            {"op": "summary"},
+            {"op": "shutdown"},
+        ]
+        transcripts = []
+        for n_users in (N_USERS, None):
+            with ShardServerProc(
+                sharded_cmd(shards=2, n_users=n_users)
+            ) as server:
+                with server.client() as client:
+                    lines = []
+                    for request in requests:
+                        client.send(request)
+                        lines.append(client.rfile.readline())
+                server.proc.wait(timeout=60)
+            transcripts.append(lines)
+        assert json.loads(transcripts[0][-2])["shard_users"] == [
+            int(c) for c in ShardRouter(N_USERS, 2).counts
+        ]
+        assert transcripts[1] == transcripts[0]
 
 
 class TestErrorHandling:

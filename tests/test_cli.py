@@ -421,7 +421,7 @@ class TestQueryExpr:
 
 
 class TestServeStanding:
-    """Standing queries in the solo stdin serve loop."""
+    """Standing queries on the stdin transport."""
 
     _feed = staticmethod(TestServe._feed)
     _requests = staticmethod(TestServe._requests)
@@ -458,8 +458,6 @@ class TestServeStanding:
     ):
         ingests = self._requests(n_steps=12)
         requests = (
-            # the solo loop builds its session from the first ingest
-            # row, so standing queries register once data is flowing
             ingests[:4]
             + [{"op": "standing", "action": "register", "id": "cp",
                 "expr": "changepoint(0, drift=0.0, threshold=0.05)"}]
@@ -482,6 +480,49 @@ class TestServeStanding:
         assert (batch["t0"], batch["t1"]) == (4, 11)
         assert [a["t"] for a in alerts] == batch["alarms"]
         assert alerts, "the stream never alarmed; nothing was exercised"
+
+    def test_stdin_serves_the_full_surface(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A standing query registered before the first ingest alerts
+        from t=0, and b64 ingest, checkpoint and shutdown answer on
+        stdin exactly as on the socket."""
+        import base64
+
+        import numpy as np
+
+        ingests = self._requests(n_steps=4)
+        packed = {
+            "op": "ingest",
+            "b64": base64.b64encode(
+                np.asarray(ingests[3]["values"], dtype=np.uint8).tobytes()
+            ).decode("ascii"),
+            "dtype": "u1",
+        }
+        transcripts = []
+        for last in (ingests[3], packed):
+            requests = (
+                [{"op": "standing", "action": "register", "id": "w",
+                  "expr": "threshold(point(0) > -1000000)"}]
+                + ingests[:3]
+                + [last, {"op": "checkpoint"}, {"op": "shutdown"}]
+                + ingests[:1]  # after shutdown: never read
+            )
+            self._feed(monkeypatch, requests)
+            state = tmp_path / f"state-{len(transcripts)}"
+            assert main(self._serve(["--state-dir", str(state)])) == 0
+            transcripts.append(capsys.readouterr().out)
+        assert transcripts[1] == transcripts[0]
+        lines = [json.loads(raw) for raw in transcripts[0].splitlines()]
+        assert lines[0]["action"] == "register" and lines[0]["next_t"] == 0
+        acks = [x for x in lines if x.get("op") == "ingest"]
+        alerts = [x for x in lines if x.get("event") == "alert"]
+        assert [a["t"] for a in acks] == [0, 1, 2, 3]
+        assert [a["t"] for a in alerts] == [0, 1, 2, 3]
+        assert lines[-2:] == [
+            {"op": "checkpoint", "watermark": 4},
+            {"op": "shutdown", "watermark": 4},
+        ]
 
     def test_standing_errors_keep_serving(self, capsys, monkeypatch):
         requests = (

@@ -197,13 +197,15 @@ def kill_after(
 
 
 def read_wal_rows(state_dir: Path) -> List[dict]:
-    """Committed release rows of a state dir's WAL."""
+    """Committed release rows of the serve state dir's (one) shard WAL."""
     sys.path.insert(0, str(REPO_SRC))
     try:
         from repro.persist import replay_wal
+        from repro.persist.statedir import WAL_FILE
+        from repro.serving import shard_state_dir
     finally:
         sys.path.pop(0)
-    rows, _ = replay_wal(state_dir / "releases.wal")
+    rows, _ = replay_wal(shard_state_dir(state_dir, 0) / WAL_FILE)
     return rows
 
 
