@@ -105,8 +105,10 @@ class WEventAccountant:
             if user_ids.min() < 0 or user_ids.max() >= self.n_users:
                 raise InvalidParameterError("user ids outside population")
             spend = self._materialize()
-            spend[user_ids] += epsilon
-            touched_max = float(spend[user_ids].max())
+            touched = spend[user_ids]
+            touched += epsilon
+            spend[user_ids] = touched
+            touched_max = float(touched.max())
         self._charges.append((t, user_ids, float(epsilon)))
         self.total_charges += 1
         self.max_window_spend = max(self.max_window_spend, touched_max)
@@ -358,6 +360,9 @@ class WEventAccountant:
         self._current_t = max(self._current_t, t)
         cutoff = t - self.window + 1
         evicted = False
+        # Ids of the evicted group charges; None once a whole-population
+        # charge left a materialised ledger (every entry moved).
+        moved: Optional[list] = []
         while self._charges and self._charges[0][0] < cutoff:
             _, ids, eps = self._charges.popleft()
             evicted = True
@@ -366,12 +371,22 @@ class WEventAccountant:
                     self._uniform_spend -= eps
                 else:
                     self._window_spend -= eps
+                    moved = None
             else:
                 self._window_spend[ids] -= eps
+                if moved is not None:
+                    moved.append(ids)
         if not evicted:
             return
-        # Guard against floating point drift.
+        # Guard against floating point drift.  Entries no eviction touched
+        # are sums of non-negative charges on top of an already clipped
+        # ledger, so clipping only the moved ids equals the full clip.
         if self._uniform:
             self._uniform_spend = max(0.0, self._uniform_spend)
-        else:
+        elif moved is None:
             np.clip(self._window_spend, 0.0, None, out=self._window_spend)
+        else:
+            ids = moved[0] if len(moved) == 1 else np.concatenate(moved)
+            self._window_spend[ids] = np.clip(
+                self._window_spend[ids], 0.0, None
+            )

@@ -405,7 +405,7 @@ class ChunkContext:
         Row ``i`` holds the same integers as
         ``np.bincount(values(t0 + i), minlength=d)``.  Computed by
         :func:`~repro.engine.kernels_fast.block_histograms` — one
-        flat-offset bincount over the whole block.
+        bincount per row of the block.
         """
         if self._counts is None:
             self._counts = block_histograms(

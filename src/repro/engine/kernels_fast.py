@@ -4,13 +4,14 @@ The structure-of-arrays scheduler (:mod:`repro.engine.soa`) and the
 chunked collector spend most of their time in three tight loops:
 
 ``block_histograms``   per-round exact histograms over a values block
-                       (the shared truth/counts pass every session reads)
+                       (the shared truth/counts pass every session reads;
+                       one bincount per row)
 ``debias_rows``        the oracle debias affine map applied to a block of
                        perturbed support counts
 ``first_exceed``       the LBD/LBA speculative-replay decision scan (first
                        round whose dissimilarity exceeds its error bound)
 
-Each is one vectorized numpy expression.  No RNG ever runs here:
+Each is a short vectorized numpy expression.  No RNG ever runs here:
 perturbation *draws* come from each session's private
 :class:`numpy.random.Generator`, so only the deterministic pre/post maps
 around the draws live in this module.  The parity suite
@@ -26,16 +27,17 @@ __all__ = ["backend", "block_histograms", "debias_rows", "first_exceed"]
 
 
 def block_histograms(block: np.ndarray, domain_size: int) -> np.ndarray:
-    """Exact per-row histograms: ``(B, n_users)`` values -> ``(B, d)``."""
+    """Exact per-row histograms: ``(B, n_users)`` values -> ``(B, d)``.
+
+    One ``bincount`` per row into a preallocated result: no widened
+    ``(B, n_users)`` offset copy of the block, and faster than a single
+    flat-offset ``bincount`` on every scheduler shape.
+    """
     block = np.asarray(block)
-    rows = block.shape[0]
-    if rows == 0:
-        return np.zeros((0, domain_size), dtype=np.int64)
-    offsets = np.arange(rows, dtype=np.int64) * domain_size
-    flat = block + offsets[:, None]
-    return np.bincount(
-        flat.ravel(), minlength=rows * domain_size
-    ).reshape(rows, domain_size)
+    counts = np.zeros((block.shape[0], domain_size), dtype=np.int64)
+    for i, row in enumerate(block):
+        counts[i] = np.bincount(row, minlength=domain_size)
+    return counts
 
 
 def debias_rows(

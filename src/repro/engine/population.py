@@ -54,7 +54,7 @@ class UserPool:
         chosen = self._rng.choice(candidates, size=k, replace=False)
         self._available[chosen] = False
         self._n_available -= k
-        return chosen.astype(np.int64)
+        return chosen.astype(np.int64, copy=False)
 
     def recycle(self, user_ids: np.ndarray) -> None:
         """Return previously sampled users to ``U_A``."""
@@ -86,7 +86,7 @@ class UserPool:
         chosen = self._rng.choice(candidates, size=k, replace=False)
         self._available[chosen] = False
         self._n_available -= k
-        return chosen.astype(np.int64)
+        return chosen.astype(np.int64, copy=False)
 
     def recycle_run(self, *groups: np.ndarray) -> None:
         """Kernel-path :meth:`recycle` for several already-validated groups.

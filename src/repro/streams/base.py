@@ -70,7 +70,10 @@ class StreamDataset(abc.ABC):
         """True values of all users at timestamp ``t`` (0-based).
 
         Returns an ``(n_users,)`` int64 array with entries in
-        ``[0, domain_size)``.  Callers must not mutate the result.
+        ``[0, domain_size)``.  Callers must not mutate the result: it may
+        be a view of the dataset's own storage, read-only on
+        :class:`~repro.streams.online.OnlineStream`, whose views stay
+        valid only until ``retain`` further pushes.
         """
 
     def true_frequencies(self, t: int) -> np.ndarray:
@@ -94,8 +97,14 @@ class StreamDataset(abc.ABC):
         sequential generative streams this *consumes* them (the cursor
         ends at ``t1 - 1``), so a caller must either use only the block
         or only per-timestamp ``values`` for a given span, never both.
-        Materialized streams override it with an O(1) view.  Callers
-        must not mutate the result.
+
+        This method validates the span and hands a non-empty one to the
+        :meth:`_range_rows` hook; subclasses override the hook, not this
+        method.  Materialized streams return an O(1) view of their
+        matrix; :class:`~repro.streams.online.OnlineStream` returns a
+        read-only view of its ring (valid until ``retain`` further
+        pushes), or one read-only copy when the span wraps round it.
+        Callers must not mutate the result.
         """
         if t1 < t0:
             raise StreamAccessError(
@@ -103,6 +112,10 @@ class StreamDataset(abc.ABC):
             )
         if t1 == t0:
             return np.empty((0, self.n_users), dtype=np.int64)
+        return self._range_rows(t0, t1)
+
+    def _range_rows(self, t0: int, t1: int) -> np.ndarray:
+        """Rows ``values(t0) .. values(t1 - 1)`` as a block (``t0 < t1``)."""
         return np.stack([self.values(t) for t in range(t0, t1)])
 
     def true_frequencies_range(self, t0: int, t1: int) -> np.ndarray:
@@ -166,39 +179,29 @@ class MaterializedStream(StreamDataset):
         t = self._check_t(t)
         return self._values[t]
 
-    def values_range(self, t0: int, t1: int) -> np.ndarray:
+    def _range_rows(self, t0: int, t1: int) -> np.ndarray:
         """O(1) block view of the stored value matrix."""
-        if t1 < t0:
-            raise StreamAccessError(
-                f"invalid range [{t0}, {t1}): end before start"
-            )
-        if t1 == t0:
-            return np.empty((0, self.n_users), dtype=np.int64)
         self._check_t(t0)
         self._check_t(t1 - 1)
         return self._values[t0:t1]
 
     def true_frequencies_range(self, t0: int, t1: int) -> np.ndarray:
-        """Vectorized batch histogram: one bincount for the whole range.
+        """Vectorized batch histogram over the stored block.
 
         Each row's integer counts match the per-timestamp bincount
         exactly, so dividing by ``n_users`` reproduces
         :meth:`StreamDataset.true_frequencies` bit for bit.
         """
+        # Imported here: the engine package imports this module.
+        from ..engine.kernels_fast import block_histograms
+
         if t1 < t0:
             raise StreamAccessError(
                 f"invalid range [{t0}, {t1}): end before start"
             )
         if t1 == t0:
             return np.empty((0, self.domain_size), dtype=np.float64)
-        self._check_t(t0)
-        self._check_t(t1 - 1)
-        d = self.domain_size
-        block = self._values[t0:t1]
-        offsets = np.arange(t1 - t0, dtype=np.int64)[:, None] * d
-        counts = np.bincount(
-            (block + offsets).ravel(), minlength=(t1 - t0) * d
-        ).reshape(t1 - t0, d)
+        counts = block_histograms(self._range_rows(t0, t1), self.domain_size)
         return counts.astype(np.float64) / self.n_users
 
 

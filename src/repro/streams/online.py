@@ -14,8 +14,7 @@ the engine ever looks further back than the current timestamp.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +48,13 @@ def snapshot_from_json(values) -> np.ndarray:
 class OnlineStream(StreamDataset):
     """An unbounded stream fed one snapshot at a time via :meth:`push`.
 
+    The retained snapshots live in one ``(retain, n_users)`` int64 ring,
+    allocated by the first :meth:`push`; timestamp ``t`` sits in row
+    ``t % retain``.  :meth:`values` and :meth:`values_range` hand out
+    read-only views into it, valid until ``retain`` further pushes
+    overwrite them (a span that wraps round the ring comes back as one
+    read-only copy instead).
+
     Parameters
     ----------
     n_users:
@@ -65,7 +71,11 @@ class OnlineStream(StreamDataset):
         if retain < 1:
             raise InvalidParameterError(f"retain must be >= 1, got {retain}")
         self._retain = int(retain)
-        self._snapshots: Deque[Tuple[int, np.ndarray]] = deque()
+        # Allocated on the first push, so building a stream (and a session
+        # around it) costs no ring memory until data arrives.
+        self._ring: Optional[np.ndarray] = None
+        self._rows: Optional[np.ndarray] = None  # read-only view of _ring
+        self._first_t = 0  # first timestamp pushed since the last seek
         self._next_t = 0
 
     # ------------------------------------------------------------------
@@ -78,10 +88,12 @@ class OnlineStream(StreamDataset):
         """Ingest the next timestamp's user values; return its timestamp.
 
         ``values`` must hold integers (any integer dtype); floats and
-        booleans raise rather than being truncated.
+        booleans raise rather than being truncated.  The values are
+        copied into the ring, so the caller may reuse its buffer.
         """
         values = np.asarray(values)
-        if values.dtype.kind not in "iu":
+        kind = values.dtype.kind
+        if kind not in "iu":
             raise InvalidParameterError(
                 f"snapshot values must be integers, got dtype {values.dtype}"
             )
@@ -90,16 +102,18 @@ class OnlineStream(StreamDataset):
                 f"snapshot must be a ({self.n_users},) value array, got "
                 f"shape {values.shape}"
             )
-        if values.size and (
-            values.min() < 0 or values.max() >= self.domain_size
+        if (kind == "i" and values.min() < 0) or (
+            values.max() >= self.domain_size
         ):
             raise InvalidParameterError(
                 "snapshot values outside [0, domain_size)"
             )
+        if self._ring is None:
+            self._ring = np.empty((self._retain, self.n_users), np.int64)
+            self._rows = self._ring.view()
+            self._rows.flags.writeable = False
         t = self._next_t
-        self._snapshots.append((t, values.astype(np.int64, copy=False)))
-        while len(self._snapshots) > self._retain:
-            self._snapshots.popleft()
+        self._ring[t % self._retain] = values
         self._next_t = t + 1
         return t
 
@@ -118,28 +132,39 @@ class OnlineStream(StreamDataset):
                 f"cannot fast-forward backwards: stream is at "
                 f"{self._next_t}, asked for {t}"
             )
-        self._snapshots.clear()
-        self._next_t = int(t)
+        self._first_t = self._next_t = int(t)
 
     # ------------------------------------------------------------------
     def values(self, t: int) -> np.ndarray:
+        return self._rows[self._slot(t)]
+
+    def _range_rows(self, t0: int, t1: int) -> np.ndarray:
+        i0 = self._slot(t0)
+        # The first unreadable timestamp of the span, if any, is the next
+        # one to be pushed (t0 is retained, so everything after it is).
+        self._slot(min(t1, self._next_t + 1) - 1)
+        i1 = i0 + (t1 - t0)
+        if i1 <= self._retain:
+            return self._rows[i0:i1]
+        block = np.concatenate(
+            (self._rows[i0:], self._rows[: i1 - self._retain])
+        )
+        block.flags.writeable = False
+        return block
+
+    def _slot(self, t: int) -> int:
+        """Ring row of retained timestamp ``t``; raises if not retained."""
         t = self._check_t(t)
-        for ts, snapshot in reversed(self._snapshots):
-            if ts == t:
-                return snapshot
-            if ts < t:
-                break
         if t >= self._next_t:
             raise StreamAccessError(
                 f"timestamp {t} has not been pushed yet (next is "
                 f"{self._next_t})"
             )
-        raise StreamAccessError(
-            f"timestamp {t} was evicted from the online retention window "
-            f"(oldest retained: "
-            f"{self._snapshots[0][0] if self._snapshots else 'none'})"
-        )
-
-    # The base values_range (stack values(t) in order) serves chunked
-    # ingestion here as long as the whole span is still retained —
-    # chunked consumers construct the stream with retain >= chunk.
+        oldest = max(self._first_t, self._next_t - self._retain)
+        if t < oldest:
+            raise StreamAccessError(
+                f"timestamp {t} was evicted from the online retention window "
+                f"(oldest retained: "
+                f"{oldest if oldest < self._next_t else 'none'})"
+            )
+        return t % self._retain

@@ -1,5 +1,7 @@
 """Unit tests for the w-event LDP accountant."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -432,3 +434,76 @@ class TestLedgerRestore:
         state["charges"][0][1][0] = 3
         assert acc.window_spend(1) == pytest.approx(0.2)
         assert acc.state_dict()["charges"][0][1][0] == 1
+
+
+class _FullClipLedger:
+    """Reference ledger: per-user array, full-array clip on every eviction."""
+
+    def __init__(self, n_users, window):
+        self.spend = np.zeros(n_users)
+        self.window = window
+        self.charges = deque()
+        self.max_window_spend = 0.0
+        self.clipped = 0  # entries the clip actually moved
+
+    def charge(self, t, ids, eps):
+        cutoff = t - self.window + 1
+        evicted = False
+        while self.charges and self.charges[0][0] < cutoff:
+            _, old_ids, old_eps = self.charges.popleft()
+            if old_ids is None:
+                self.spend -= old_eps
+            else:
+                self.spend[old_ids] -= old_eps
+            evicted = True
+        if evicted:
+            self.clipped += int((self.spend < 0).sum())
+            np.clip(self.spend, 0.0, None, out=self.spend)
+        if eps == 0:
+            return
+        if ids is None:
+            self.spend += eps
+            touched = self.spend
+        else:
+            self.spend[ids] += eps
+            touched = self.spend[ids]
+        self.charges.append((t, ids, eps))
+        self.max_window_spend = max(
+            self.max_window_spend, float(touched.max())
+        )
+
+
+class TestGroupEvictionMatchesFullClip:
+    """Evicting group charges clips only the evicted ids; the ledger must
+    stay bit-identical to one that clips the whole array every time."""
+
+    BUDGETS = (0.1, 0.2, 0.3, 0.7, 1 / 3, 1 / 7, 0.0)
+
+    @pytest.mark.parametrize("gaps", (False, True))
+    @pytest.mark.parametrize("population_every", (0, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_overlapping_group_charges(
+        self, gaps, population_every, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n_users, window = 40, 4
+        acc = WEventAccountant(n_users, epsilon=1.0, window=window,
+                               enforce=False)
+        ref = _FullClipLedger(n_users, window)
+        steps = (0, 1, 2, 3, 6) if gaps else (0, 1)
+        t = 0
+        for i in range(400):
+            t += int(rng.choice(steps))
+            eps = float(rng.choice(self.BUDGETS))
+            if population_every and i % population_every == 0:
+                ids = None
+            else:
+                k = int(rng.integers(1, 25))
+                # With repeats: a group may name a user twice.
+                ids = rng.integers(0, n_users, size=k)
+            acc.charge(t, ids, eps)
+            ref.charge(t, ids, eps)
+            assert np.array_equal(acc.spend_snapshot(), ref.spend)
+            assert acc.max_window_spend == ref.max_window_spend
+        # The drift guard really clipped something along the way.
+        assert ref.clipped > 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SessionGroup, StreamSession, run_stream
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, StreamAccessError
 from repro.streams import OnlineStream, TaxiSimulator, make_lns
 
 ALL_MECHANISMS = ("LBU", "LSP", "LBD", "LBA", "LPU", "LPD", "LPA")
@@ -235,5 +235,9 @@ class TestOnlineSession:
         for t in range(50):
             online.push(rng.integers(0, 3, size=100))
             session.observe(t)
-        assert len(online._snapshots) <= 2
+        with pytest.raises(StreamAccessError, match="evicted"):
+            online.values(49 - 2)
+        # Every retained row is a view into one ring of ``retain`` rows.
+        assert online.values_range(48, 50).shape == (2, 100)
+        assert online.values(49).base.shape == (2, 100)
         assert session.steps_observed == 50

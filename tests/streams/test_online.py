@@ -112,3 +112,131 @@ class TestRetention:
     def test_retain_validated(self):
         with pytest.raises(InvalidParameterError):
             OnlineStream(n_users=2, domain_size=2, retain=0)
+
+
+class TestRing:
+    def _pushed(self, retain, count, n_users=5, domain=7, seed=0):
+        rng = np.random.default_rng(seed)
+        stream = OnlineStream(n_users=n_users, domain_size=domain,
+                              retain=retain)
+        for _ in range(count):
+            stream.push(rng.integers(0, domain, size=n_users))
+        return stream
+
+    @pytest.mark.parametrize("retain", (1, 3, 4))
+    def test_values_range_equals_stacked_values_for_every_span(self, retain):
+        rng = np.random.default_rng(retain)
+        stream = OnlineStream(n_users=5, domain_size=7, retain=retain)
+        for t in range(3 * retain):
+            stream.push(rng.integers(0, 7, size=5))
+            oldest = max(0, t + 1 - retain)
+            for t0 in range(oldest, t + 1):
+                for m in range(1, t + 2 - t0):
+                    want = np.stack(
+                        [stream.values(s) for s in range(t0, t0 + m)]
+                    )
+                    got = stream.values_range(t0, t0 + m)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+
+    def test_wrapping_span_is_one_copy_contiguous_span_a_view(self):
+        stream = self._pushed(retain=4, count=6)
+        contiguous = stream.values_range(4, 6)
+        wrapping = stream.values_range(3, 5)
+        assert np.shares_memory(contiguous, stream.values(4))
+        assert not np.shares_memory(wrapping, stream.values(4))
+        assert np.array_equal(wrapping[1], stream.values(4))
+
+    def test_fast_forward_then_push(self):
+        stream = self._pushed(retain=3, count=2)
+        stream.fast_forward(10)
+        with pytest.raises(StreamAccessError, match=r"oldest retained: none"):
+            stream.values(1)
+        with pytest.raises(StreamAccessError, match="not been pushed yet"):
+            stream.values(10)
+        assert stream.push([1, 2, 3, 4, 5]) == 10
+        assert np.array_equal(stream.values(10), [1, 2, 3, 4, 5])
+        assert np.array_equal(stream.values_range(10, 11), [[1, 2, 3, 4, 5]])
+        with pytest.raises(StreamAccessError, match=r"oldest retained: 10\)"):
+            stream.values(9)
+
+    def test_fast_forward_before_first_push(self):
+        stream = OnlineStream(n_users=2, domain_size=3, retain=2)
+        stream.fast_forward(4)
+        assert stream.push([2, 1]) == 4
+        assert np.array_equal(stream.values(4), [2, 1])
+
+    def test_access_error_messages(self):
+        stream = self._pushed(retain=2, count=5)
+        with pytest.raises(
+            StreamAccessError,
+            match=r"^timestamp 2 was evicted from the online retention "
+            r"window \(oldest retained: 3\)$",
+        ):
+            stream.values(2)
+        with pytest.raises(
+            StreamAccessError,
+            match=r"^timestamp 5 has not been pushed yet \(next is 5\)$",
+        ):
+            stream.values(5)
+        with pytest.raises(StreamAccessError, match="non-negative"):
+            stream.values(-1)
+        # A span fails on its first unreadable timestamp, in order.
+        with pytest.raises(StreamAccessError, match="timestamp 2 was evicted"):
+            stream.values_range(2, 4)
+        with pytest.raises(StreamAccessError, match="timestamp 5 has not"):
+            stream.values_range(3, 8)
+        with pytest.raises(StreamAccessError, match="timestamp 6 has not"):
+            stream.values_range(6, 8)
+        with pytest.raises(StreamAccessError, match="end before start"):
+            stream.values_range(4, 3)
+        assert stream.values_range(4, 4).shape == (0, 5)
+
+    def test_unpushed_stream_errors(self):
+        stream = OnlineStream(n_users=2, domain_size=3)
+        with pytest.raises(StreamAccessError, match="timestamp 0 has not"):
+            stream.values(0)
+        with pytest.raises(StreamAccessError, match="timestamp 0 has not"):
+            stream.values_range(0, 1)
+
+    def test_integer_dtypes_give_identical_int64_rows(self):
+        rows = np.random.default_rng(1).integers(0, 200, size=(6, 9))
+        streams = []
+        for dtype in (np.uint8, np.int16, np.int64):
+            stream = OnlineStream(n_users=9, domain_size=200, retain=4)
+            for row in rows:
+                stream.push(row.astype(dtype))
+            streams.append(stream)
+        for stream in streams:
+            block = stream.values_range(2, 6)
+            assert block.dtype == np.int64
+            assert np.array_equal(block, rows[2:6])
+            assert stream.values(5).dtype == np.int64
+            assert np.array_equal(stream.values(5), rows[5])
+
+    def test_ring_allocated_on_first_push(self):
+        stream = OnlineStream(n_users=1000, domain_size=3, retain=64)
+        assert stream._ring is None
+        stream.push(np.zeros(1000, dtype=np.uint8))
+        assert stream._ring.shape == (64, 1000)
+
+
+class TestNoAliasing:
+    def test_push_copies_the_callers_buffer(self):
+        stream = OnlineStream(n_users=4, domain_size=8)
+        buf = np.array([1, 2, 3, 4])
+        stream.push(buf)
+        buf[:] = 7
+        assert np.array_equal(stream.values(0), [1, 2, 3, 4])
+
+    def test_values_and_blocks_are_read_only(self):
+        stream = OnlineStream(n_users=3, domain_size=4, retain=3)
+        for t in range(4):
+            stream.push([t % 4, 0, 1])
+        with pytest.raises(ValueError):
+            stream.values(3)[0] = 2
+        with pytest.raises(ValueError):
+            stream.values_range(2, 4)[0, 0] = 2  # contiguous view
+        with pytest.raises(ValueError):
+            stream.values_range(1, 4)[0, 0] = 2  # wraps: a copy
+        assert np.array_equal(stream.values(3), [3, 0, 1])
