@@ -74,7 +74,7 @@ class OnlineStream(StreamDataset):
         # Allocated on the first push, so building a stream (and a session
         # around it) costs no ring memory until data arrives.
         self._ring: Optional[np.ndarray] = None
-        self._rows: Optional[np.ndarray] = None  # read-only view of _ring
+        self._view: Optional[np.ndarray] = None  # read-only view of _ring
         self._first_t = 0  # first timestamp pushed since the last seek
         self._next_t = 0
 
@@ -110,8 +110,8 @@ class OnlineStream(StreamDataset):
             )
         if self._ring is None:
             self._ring = np.empty((self._retain, self.n_users), np.int64)
-            self._rows = self._ring.view()
-            self._rows.flags.writeable = False
+            self._view = self._ring.view()
+            self._view.flags.writeable = False
         t = self._next_t
         self._ring[t % self._retain] = values
         self._next_t = t + 1
@@ -136,7 +136,7 @@ class OnlineStream(StreamDataset):
 
     # ------------------------------------------------------------------
     def values(self, t: int) -> np.ndarray:
-        return self._rows[self._slot(t)]
+        return self._view[self._slot(t)]
 
     def _range_rows(self, t0: int, t1: int) -> np.ndarray:
         i0 = self._slot(t0)
@@ -145,9 +145,9 @@ class OnlineStream(StreamDataset):
         self._slot(min(t1, self._next_t + 1) - 1)
         i1 = i0 + (t1 - t0)
         if i1 <= self._retain:
-            return self._rows[i0:i1]
+            return self._view[i0:i1]
         block = np.concatenate(
-            (self._rows[i0:], self._rows[: i1 - self._retain])
+            (self._view[i0:], self._view[: i1 - self._retain])
         )
         block.flags.writeable = False
         return block
