@@ -22,7 +22,7 @@ chunked path only sheds the engine overhead around the draws.
 
 The *adaptive* mechanisms get their own section: each row times the
 per-step loop, the chunked kernel (hybrid sequential/speculative for
-LBD/LBA, streamlined round loop for LPD/LPA) and the generic per-step
+LBD, streamlined round loop for LBA/LPD/LPA) and the generic per-step
 fallback the same chunk sizes used to hit before these kernels existed
 (forced by binding the base ``StreamMechanism.step_many`` loop on the
 mechanism instance).  Two
@@ -42,7 +42,8 @@ on the publication cadence:
   ``ADAPTIVE_STABLE_FLOOR``).  LBA is deliberately absent: absorption
   grows the publication budget with every skipped step, so its
   publication error shrinks until a publish happens — a publish-free
-  stretch long enough for deep speculation does not arise.
+  stretch long enough for speculation does not arise, which is why
+  LBA's kernel is sequential only.
 
 ``adaptive_speedup`` / ``adaptive_stable_speedup`` are the worst
 kernel-vs-fallback ratios per regime and carry their own CI floors;

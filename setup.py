@@ -11,6 +11,9 @@ dependency lower bounds are what the code actually relies on:
   samplers behind bulk ingestion).
 * ``pytest >= 7.0`` (test extra) — the tier-1 suite's fixtures use
   modern ``pytest.raises``/parametrize semantics.
+* ``hypothesis >= 6.0`` (test extra) — every module under
+  ``tests/property/`` imports it at module level (``given``,
+  ``settings(deadline=None)`` and the basic ``strategies``).
 """
 
 from setuptools import find_packages, setup
@@ -26,5 +29,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy>=1.22"],
-    extras_require={"test": ["pytest>=7.0"]},
+    extras_require={"test": ["pytest>=7.0", "hypothesis>=6.0"]},
 )

@@ -452,7 +452,7 @@ class ChunkContext:
         )
 
     # ------------------------------------------------------------------
-    # Speculative execution (adaptive budget kernels: LBD/LBA)
+    # Speculative execution (LBD's adaptive budget kernel)
     # ------------------------------------------------------------------
     def rng_checkpoint(self):
         """Raw bit-generator state of the shared session generator.
@@ -582,8 +582,8 @@ class ChunkContext:
         collector-level :meth:`Collector.round_sampler` memo (the
         adaptive budget mechanisms cycle through one M1 budget and a
         handful of publication budgets, so the memo persists across
-        chunks, not just within one).  This is the
-        sequential mode of the hybrid LBD/LBA kernels: when publications
+        chunks, not just within one).  This is LBA's whole chunk kernel
+        and the sequential mode of LBD's hybrid one: when publications
         are frequent, speculation would discard most of its lookahead,
         so the kernel runs rounds one at a time with zero wasted draws.
         """

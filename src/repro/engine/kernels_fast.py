@@ -8,7 +8,7 @@ chunked collector spend most of their time in three tight loops:
                        one bincount per row)
 ``debias_rows``        the oracle debias affine map applied to a block of
                        perturbed support counts
-``first_exceed``       the LBD/LBA speculative-replay decision scan (first
+``first_exceed``       LBD's speculative-replay decision scan (first
                        round whose dissimilarity exceeds its error bound)
 
 Each is a short vectorized numpy expression.  No RNG ever runs here:

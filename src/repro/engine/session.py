@@ -282,11 +282,11 @@ class StreamSession:
         :meth:`~repro.mechanisms.base.StreamMechanism.step_many` over
         one prefetched value block.  The non-adaptive kernels batch
         their collection rounds through the oracles' order-preserving
-        run samplers; the adaptive budget kernels (LBD/LBA)
-        speculatively batch M1 rounds and rewind/replay the generator
-        around publications; the adaptive population kernels (LPD/LPA)
-        run a streamlined per-round loop (their pool draws interleave
-        with oracle draws); mechanisms without a kernel run the base
+        run samplers; LBD's kernel speculatively batches M1 rounds and
+        rewinds/replays the generator around publications; LBA and the
+        adaptive population kernels (LPD/LPA) run a streamlined
+        per-round loop (LPD/LPA's pool draws interleave with oracle
+        draws); mechanisms without a kernel run the base
         per-step loop.  What changes is the per-timestamp interpreter
         overhead: truth histograms, collection rounds and trace/store
         bookkeeping are amortised across the chunk (see

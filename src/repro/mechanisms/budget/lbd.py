@@ -253,10 +253,10 @@ class LBD(StreamMechanism):
                     else:
                         err = math.inf
                     err_arr[i] = err
-                # Decision scan through the (compiled-capable) comparison
-                # kernel; records only ever read scan entries up to the
-                # committed prefix, so filling the whole sub-batch is
-                # record-identical to the old break-at-hit loop.
+                # Decision scan through the comparison kernel; records
+                # only ever read scan entries up to the committed prefix,
+                # so filling the whole sub-batch is record-identical to
+                # the old break-at-hit loop.
                 hit = first_exceed(dis_arr, err_arr)
                 dis_scan.extend(dis_arr.tolist())
                 err_scan.extend(err_arr.tolist())

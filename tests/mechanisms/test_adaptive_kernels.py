@@ -1,13 +1,13 @@
 """Adaptive chunk kernels must be bit-identical to the per-step loop.
 
-The speculative kernels (LBD/LBA) rewind and replay the shared
-generator around publications; the streamlined population kernels
-(LPD/LPA) re-issue exactly the per-step draws through hoisted fast
-paths.  Either way the contract is total: for every oracle and every
-chunking of the horizon, releases, per-record decision fields
-(``dis``/``err``/strategy/budgets/group sizes), running counters,
-checkpointable state and the final generator position must all equal
-the ``observe()`` loop's, byte for byte.
+LBD's speculative kernel rewinds and replays the shared generator
+around publications; LBA's sequential kernel and the streamlined
+population kernels (LPD/LPA) re-issue exactly the per-step draws
+through hoisted fast paths.  Either way the contract is total: for
+every oracle and every chunking of the horizon, releases, per-record
+decision fields (``dis``/``err``/strategy/budgets/group sizes), running
+counters, checkpointable state and the final generator position must
+all equal the ``observe()`` loop's, byte for byte.
 
 This file is the deep matrix for the four adaptive mechanisms; the
 engine-level chunking edge cases (misaligned chunks, stores, groups)
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.engine import StreamSession
+from repro.engine.collector import ChunkContext
 from repro.mechanisms.base import StreamMechanism
 from repro.streams import MaterializedStream
 
@@ -143,17 +144,73 @@ class TestBitIdentityMatrix:
         _assert_sessions_identical(chunked, session)
 
 
+class TestLBDSpeculation:
+    """LBD's speculative mode against the ``step()`` loop.
+
+    The drifting matrix above publishes too often for LBD to leave its
+    sequential mode, so this input is built to speculate: a static
+    stream (quiet at ``w = 2`` with a 32-value domain) for 70 steps,
+    then every user switches to value 0.  The shift forces a publish
+    inside a speculative sub-batch, so the kernel must rewind and
+    replay the generator.
+    """
+
+    HORIZON = 120
+    SHIFT = 70
+    N_USERS = 10_000
+    DOMAIN = 32
+
+    def _dataset(self):
+        rng = np.random.default_rng(5)
+        held = rng.integers(0, self.DOMAIN, size=self.N_USERS)
+        values = np.zeros((self.HORIZON, self.N_USERS), dtype=np.int64)
+        values[: self.SHIFT] = held
+        return MaterializedStream(values, domain_size=self.DOMAIN)
+
+    def _session(self, oracle):
+        return StreamSession(
+            "LBD",
+            self._dataset(),
+            epsilon=1.0,
+            window=2,
+            horizon=self.HORIZON,
+            oracle=oracle,
+            seed=97,
+        ).start()
+
+    @pytest.mark.parametrize("chunk", (13, 64, 130))
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_rewind_matches_loop(self, oracle, chunk, monkeypatch):
+        looped = self._session(oracle)
+        for t in range(self.HORIZON):
+            looped.observe(t)
+
+        restores = []
+        original = ChunkContext.rng_restore
+
+        def counting_restore(ctx, state):
+            restores.append(ctx.t0)
+            original(ctx, state)
+
+        monkeypatch.setattr(ChunkContext, "rng_restore", counting_restore)
+        chunked = self._session(oracle)
+        t = 0
+        while t < self.HORIZON:
+            t += len(chunked.observe_many(t, chunk))
+        assert restores, "input no longer drives a mid-sub-batch rewind"
+        _assert_sessions_identical(looped, chunked)
+
+
 class TestAccountingInvariants:
     @pytest.mark.parametrize("mechanism", ADAPTIVE)
     def test_privacy_budget_respected_chunked(self, mechanism):
         session = _run_chunked(mechanism, "oue", 64)
         assert session.max_window_spend <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("mechanism", ("LBD", "LBA"))
-    def test_speculation_hint_not_checkpointed(self, mechanism):
-        """_quiet_run is a perf-only hint: it must not leak into
+    def test_speculation_hint_not_checkpointed(self):
+        """LBD's _quiet_run is a perf-only hint: it must not leak into
         snapshots (restores start from the default and stay correct)."""
-        session = _run_chunked(mechanism, "oue", 64)
+        session = _run_chunked("LBD", "oue", 64)
         payload = json.loads(json.dumps(session.snapshot()))
         assert "quiet_run" not in json.dumps(payload)
 
