@@ -1,16 +1,13 @@
-"""Benchmark configuration.
+"""Benchmark configuration: the ``size`` fixture of the performance rails.
 
-Every bench regenerates one of the paper's evaluation artifacts at reduced
-(``smoke``/``default``-tier) sizes so the whole suite finishes in minutes,
-prints the regenerated series next to the paper's values where available,
-and asserts the qualitative *shape* (who wins, by roughly what factor).
+pytest collects only ``test_*.py`` files, so each ``bench_*.py`` rail
+runs by file name (or as a script; see its docstring)::
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_shared_pass.py -s
 
 Sizes are controlled by the BENCH_SIZE environment variable
 (``smoke`` | ``default`` | ``paper``; default ``smoke`` so CI stays fast).
+The paper's shape claims live in ``tests/integration/test_paper_shape.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +17,7 @@ import os
 import pytest
 
 
-def bench_size() -> str:
-    """Dataset size tier for benchmark runs (env BENCH_SIZE)."""
-    return os.environ.get("BENCH_SIZE", "smoke")
-
-
 @pytest.fixture(scope="session")
 def size():
-    return bench_size()
+    """Dataset size tier for benchmark runs (env BENCH_SIZE)."""
+    return os.environ.get("BENCH_SIZE", "smoke")

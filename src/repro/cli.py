@@ -746,67 +746,28 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from .experiments import (
-        fig4_utility_vs_epsilon,
-        fig5_utility_vs_window,
-        fig6_fluctuation,
-        fig6_population,
-        fig7_event_monitoring,
-        fig8_communication,
-        format_figure,
-        format_roc_summary,
-    )
+    from .experiments import ARTIFACTS
 
-    if args.name == "fig4":
-        series = fig4_utility_vs_epsilon(
-            size=args.size, seed=args.seed, repeats=args.repeats, jobs=args.jobs
-        )
-        print(format_figure(series, x_label="epsilon"))
-    elif args.name == "fig5":
-        series = fig5_utility_vs_window(
-            size=args.size, seed=args.seed, repeats=args.repeats, jobs=args.jobs
-        )
-        print(format_figure(series, x_label="w"))
-    elif args.name == "fig6":
-        print(
-            format_figure(
-                fig6_population(
-                    seed=args.seed, repeats=args.repeats, jobs=args.jobs
-                ),
-                x_label="N",
-            )
-        )
-        print()
-        print(
-            format_figure(
-                fig6_fluctuation(
-                    seed=args.seed, repeats=args.repeats, jobs=args.jobs
-                ),
-                x_label="fluctuation",
-            )
-        )
-    elif args.name == "fig7":
-        print(
-            format_roc_summary(
-                fig7_event_monitoring(
-                    size=args.size, seed=args.seed, jobs=args.jobs
+    # ``fig6`` names both of its panels: fig6_population, fig6_fluctuation.
+    print(
+        "\n\n".join(
+            artifact.render(
+                artifact.generate(
+                    args.size, args.seed, args.repeats, args.jobs
                 )
             )
+            for name, artifact in ARTIFACTS.items()
+            if name.startswith(args.name)
         )
-    elif args.name == "fig8":
-        print(
-            format_figure(
-                fig8_communication(seed=args.seed, jobs=args.jobs), x_label="x"
-            )
-        )
+    )
     return 0
 
 
 def _cmd_table2(args) -> int:
-    from .experiments import PAPER_TABLE2, format_table2, table2_cfpu
+    from .experiments import ARTIFACTS
 
-    table = table2_cfpu(size=args.size, seed=args.seed, jobs=args.jobs)
-    print(format_table2(table, PAPER_TABLE2))
+    table2 = ARTIFACTS["table2"]
+    print(table2.render(table2.generate(args.size, args.seed, 1, args.jobs)))
     print("\n(values shown as measured/paper)")
     return 0
 

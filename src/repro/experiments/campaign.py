@@ -1,16 +1,19 @@
 """Full evaluation campaign: regenerate every figure and table in one call.
 
-:func:`run_campaign` executes the complete Section-7 evaluation at a chosen
-size tier, writes one text artifact per figure/table (plus CSV series for
-external plotting) into an output directory, and returns the in-memory
-results.  The CLI exposes it as ``python -m repro campaign``.
+:data:`ARTIFACTS` is the one registry of the paper's Section-7 artifacts:
+each name maps to how its series are generated at a size tier and how
+they render as text.  :func:`run_campaign` walks the registry, writes one
+text artifact per entry (plus CSV series for external plotting) into an
+output directory, and returns the in-memory results.  The CLI's
+``campaign``, ``figure`` and ``table2`` commands are lookups into it.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..io import series_to_csv
 from ..rng import SeedLike
@@ -31,16 +34,85 @@ from .tables import PAPER_TABLE2, table2_cfpu
 
 PathLike = Union[str, Path]
 
-#: Campaign artifact names, in run order.
-ARTIFACTS = (
-    "fig4",
-    "fig5",
-    "fig6_population",
-    "fig6_fluctuation",
-    "fig7",
-    "fig8",
-    "table2",
-)
+
+@dataclass(frozen=True)
+class Artifact:
+    """One paper artifact.
+
+    ``generate(size, seed, repeats, jobs)`` returns its series at a size
+    tier; ``render(series)`` formats them as text; ``csv`` says whether
+    the series also export as CSV (ROC curves and Table 2 do not).
+    """
+
+    generate: Callable[[str, SeedLike, int, Optional[int]], object]
+    render: Callable[[object], str]
+    csv: bool = True
+
+
+def _at_smoke(size: str, **workload) -> dict:
+    """Workload overrides for figures sized by explicit parameters, not
+    a tier: smoke campaigns shrink them so CI stays fast."""
+    return workload if size == "smoke" else {}
+
+
+#: The registry, in campaign run order.
+ARTIFACTS: Dict[str, Artifact] = {
+    "fig4": Artifact(
+        lambda size, seed, repeats, jobs: fig4_utility_vs_epsilon(
+            size=size, repeats=repeats, seed=seed, jobs=jobs
+        ),
+        lambda series: format_figure(series, x_label="epsilon"),
+    ),
+    "fig5": Artifact(
+        lambda size, seed, repeats, jobs: fig5_utility_vs_window(
+            size=size, repeats=repeats, seed=seed, jobs=jobs
+        ),
+        lambda series: format_figure(series, x_label="w"),
+    ),
+    "fig6_population": Artifact(
+        lambda size, seed, repeats, jobs: fig6_population(
+            repeats=repeats,
+            seed=seed,
+            jobs=jobs,
+            **_at_smoke(size, populations=(2_000, 4_000, 8_000), horizon=60),
+        ),
+        lambda series: format_figure(series, x_label="N"),
+    ),
+    "fig6_fluctuation": Artifact(
+        lambda size, seed, repeats, jobs: fig6_fluctuation(
+            repeats=repeats,
+            seed=seed,
+            jobs=jobs,
+            **_at_smoke(size, n_users=6_000, horizon=60),
+        ),
+        lambda series: format_figure(series, x_label="fluctuation"),
+    ),
+    "fig7": Artifact(
+        lambda size, seed, repeats, jobs: fig7_event_monitoring(
+            size=size, seed=seed, jobs=jobs
+        ),
+        format_roc_summary,
+        csv=False,
+    ),
+    "fig8": Artifact(
+        lambda size, seed, repeats, jobs: fig8_communication(
+            repeats=repeats,
+            seed=seed,
+            jobs=jobs,
+            **_at_smoke(
+                size, populations=(2_000, 4_000), n_users=6_000, horizon=60
+            ),
+        ),
+        lambda series: format_figure(series, x_label="x"),
+    ),
+    "table2": Artifact(
+        lambda size, seed, repeats, jobs: table2_cfpu(
+            size=size, seed=seed, jobs=jobs
+        ),
+        lambda table: format_table2(table, PAPER_TABLE2),
+        csv=False,
+    ),
+}
 
 
 def run_campaign(
@@ -63,68 +135,19 @@ def run_campaign(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def emit(name: str, text: str, series=None) -> None:
+    started = time.time()
+    results: Dict[str, object] = {}
+    for name, artifact in ARTIFACTS.items():
+        series = results[name] = artifact.generate(size, seed, repeats, jobs)
+        text = artifact.render(series)
         if verbose:
             print(f"== {name} ==")
             print(text)
             print()
         if out is not None:
             (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-            if series is not None:
+            if artifact.csv:
                 series_to_csv(series, out / f"{name}.csv")
-
-    started = time.time()
-    results: Dict[str, object] = {}
-
-    results["fig4"] = fig4_utility_vs_epsilon(
-        size=size, repeats=repeats, seed=seed, jobs=jobs
-    )
-    emit("fig4", format_figure(results["fig4"], x_label="epsilon"), results["fig4"])
-
-    results["fig5"] = fig5_utility_vs_window(
-        size=size, repeats=repeats, seed=seed, jobs=jobs
-    )
-    emit("fig5", format_figure(results["fig5"], x_label="w"), results["fig5"])
-
-    # fig6/fig8 take explicit workload parameters rather than a size tier;
-    # shrink them for smoke campaigns so CI stays fast.
-    small = size == "smoke"
-    fig6_kwargs = (
-        {"populations": (2_000, 4_000, 8_000), "horizon": 60} if small else {}
-    )
-    fig6_fluct_kwargs = {"n_users": 6_000, "horizon": 60} if small else {}
-    fig8_kwargs = (
-        {"populations": (2_000, 4_000), "n_users": 6_000, "horizon": 60}
-        if small
-        else {}
-    )
-
-    results["fig6_population"] = fig6_population(
-        repeats=repeats, seed=seed, jobs=jobs, **fig6_kwargs
-    )
-    emit(
-        "fig6_population",
-        format_figure(results["fig6_population"], x_label="N"),
-        results["fig6_population"],
-    )
-
-    results["fig6_fluctuation"] = fig6_fluctuation(
-        repeats=repeats, seed=seed, jobs=jobs, **fig6_fluct_kwargs
-    )
-    emit(
-        "fig6_fluctuation",
-        format_figure(results["fig6_fluctuation"], x_label="fluctuation"),
-        results["fig6_fluctuation"],
-    )
-
-    results["fig7"] = fig7_event_monitoring(size=size, seed=seed, jobs=jobs)
-    emit("fig7", format_roc_summary(results["fig7"]))
-
-    results["fig8"] = fig8_communication(seed=seed, jobs=jobs, **fig8_kwargs)
-    emit("fig8", format_figure(results["fig8"], x_label="x"), results["fig8"])
-
-    results["table2"] = table2_cfpu(size=size, seed=seed, jobs=jobs)
-    emit("table2", format_table2(results["table2"], PAPER_TABLE2))
 
     results["elapsed_seconds"] = time.time() - started
     if verbose:

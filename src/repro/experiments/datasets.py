@@ -2,13 +2,14 @@
 
 Every dataset is available at three sizes:
 
-* ``smoke`` — seconds-fast sizes for CI and pytest-benchmark runs;
+* ``smoke`` — seconds-fast sizes for CI and the tier-1 shape tests;
 * ``default`` — laptop-scale sizes that preserve every qualitative result;
 * ``paper`` — the exact N/T the paper reports (minutes per grid point).
 
 The three real-world datasets are generative simulators (see
-:mod:`repro.streams.simulators` and DESIGN.md Section 5 for the
-substitution rationale).
+:mod:`repro.streams.simulators` for the substitution rationale, and the
+real-world stand-ins paragraph of docs/ARCHITECTURE.md, section
+``repro.streams``).
 """
 
 from __future__ import annotations

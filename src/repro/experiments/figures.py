@@ -14,7 +14,8 @@ through :func:`~repro.experiments.parallel.execute_cells`, so passing
 results to the serial run (each cell's randomness derives from the figure
 seed and the cell's coordinates alone).
 
-Figure index (see DESIGN.md for the full mapping):
+Figure index (the real-world datasets are the simulator stand-ins of
+docs/ARCHITECTURE.md, section ``repro.streams``):
 
 * Fig. 4 — MRE vs epsilon, w = 20, 6 datasets, 7 methods;
 * Fig. 5 — MRE vs window, eps = 1, 6 datasets, 7 methods;

@@ -6,7 +6,9 @@ is replaced by a generative simulator matched on the statistics the paper
 reports (N, T, d) and on the qualitative dynamics the LDP-IDS mechanisms
 are sensitive to — sparsity of the histogram, temporal stickiness of
 per-user values, and the drift/burst structure of the population
-distribution.  DESIGN.md Section 5 documents each substitution.
+distribution.  Each class below documents its substitution; the
+real-world stand-ins paragraph of docs/ARCHITECTURE.md (section
+``repro.streams``) places them in the stream layer.
 
 * :class:`TaxiSimulator` — T-Drive Beijing taxis: N=10,357 taxis, T=886
   ten-minute slots, d=5 grid regions.  Modelled as per-taxi sticky movement

@@ -1,36 +1,46 @@
-"""Tests for the full-evaluation campaign runner."""
+"""Tests for the full-evaluation campaign runner and its artifact registry."""
+
+import contextlib
+import io
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import ARTIFACTS, run_campaign
-from repro.experiments.campaign import run_campaign as run_campaign_direct
 
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
-    """One tiny campaign, shared by all assertions in this module."""
+    """One tiny campaign through the CLI, shared by this module."""
     out = tmp_path_factory.mktemp("campaign")
-    results = run_campaign(
-        output_dir=out, size="smoke", repeats=1, seed=1, verbose=False
-    )
-    return out, results
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["campaign", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    return out, stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def results():
+    """The in-memory results of a campaign that writes nothing."""
+    return run_campaign(output_dir=None, size="smoke", seed=2, verbose=False)
 
 
 class TestCampaign:
     def test_all_artifacts_produced(self, campaign):
-        out, results = campaign
+        out, _ = campaign
         for name in ARTIFACTS:
-            assert name in results
             assert (out / f"{name}.txt").exists(), f"missing {name}.txt"
 
     def test_csv_series_written(self, campaign):
         out, _ = campaign
         # ROC curves and table2 are text-only; the figures get CSVs.
-        for name in ("fig4", "fig5", "fig8"):
+        for name, artifact in ARTIFACTS.items():
             csv_path = out / f"{name}.csv"
-            assert csv_path.exists()
-            header = csv_path.read_text().splitlines()[0]
-            assert header == "panel,method,x,value"
+            assert csv_path.exists() == artifact.csv, name
+            if artifact.csv:
+                header = csv_path.read_text().splitlines()[0]
+                assert header == "panel,method,x,value"
 
     def test_fig4_artifact_contains_all_methods(self, campaign):
         out, _ = campaign
@@ -44,25 +54,37 @@ class TestCampaign:
         assert "/" in text  # measured/paper format
         assert "eps=2, w=40" in text
 
-    def test_elapsed_recorded(self, campaign):
-        _, results = campaign
+    def test_elapsed_recorded(self, results):
         assert results["elapsed_seconds"] > 0
 
-    def test_no_output_dir_is_fine(self):
-        results = run_campaign_direct(
-            output_dir=None, size="smoke", seed=2, verbose=False
-        )
+    def test_no_output_dir_is_fine(self, results):
         assert set(ARTIFACTS) <= set(results)
 
 
 class TestCampaignCLI:
-    def test_cli_campaign(self, capsys, tmp_path):
-        from repro.cli import main
+    def test_cli_campaign(self, campaign):
+        out, stdout = campaign
+        assert "campaign finished" in stdout
+        assert f"artifacts written to {out}" in stdout
+        for name in ARTIFACTS:
+            assert f"== {name} ==" in stdout
 
-        code = main(
-            ["campaign", "--size", "smoke", "--out", str(tmp_path / "artifacts")]
+    @pytest.mark.parametrize(
+        "figure,panels",
+        [
+            ("fig6", ("fig6_population", "fig6_fluctuation")),
+            ("fig8", ("fig8",)),
+        ],
+        ids=["fig6", "fig8"],
+    )
+    def test_figure_matches_campaign_artifact(
+        self, campaign, capsys, figure, panels
+    ):
+        """``repro figure`` runs the campaign's grid at the same size and
+        seed, so it prints the campaign's text, panels blank-line apart."""
+        out, _ = campaign
+        assert main(["figure", figure, "--seed", "1"]) == 0
+        expected = "\n".join(
+            (out / f"{name}.txt").read_text() for name in panels
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "campaign finished" in out
-        assert (tmp_path / "artifacts" / "table2.txt").exists()
+        assert capsys.readouterr().out == expected

@@ -10,14 +10,44 @@ workloads:
    LPD/LPA below LPU's 1/w and LBD/LBA above 1 (Table 2, Fig. 8).
 5. LBA stays usable as w grows while LBD degrades toward/below LBU
    (Fig. 5 discussion).
+
+:class:`TestPaperArtifacts` checks the same claims on the regenerated
+series of each figure and of Table 2, through the generators the
+``repro figure`` / ``table2`` / ``campaign`` commands use.  Each claim
+has its own seed, datasets and grid rather than reading the campaign's
+output: a claim holds only where its workload supports it (Fig. 8's
+"LPD below LPU" needs a horizon of at least 2w).  The BENCH_SIZE
+environment variable selects their size tier (``smoke`` | ``default`` |
+``paper``, default ``smoke``).
 """
+
+import math
+import os
 
 import numpy as np
 import pytest
 
 from repro.engine import run_stream
-from repro.experiments import evaluate
+from repro.experiments import (
+    PAPER_TABLE2,
+    TABLE2_SETTINGS,
+    dataset_size,
+    evaluate,
+    fig4_utility_vs_epsilon,
+    fig5_utility_vs_window,
+    fig6_fluctuation,
+    fig6_population,
+    fig7_event_monitoring,
+    fig8_communication,
+    format_figure,
+    format_roc_summary,
+    format_table2,
+    table2_cfpu,
+)
 from repro.streams import make_lns, make_sin
+
+#: Size tier of the :class:`TestPaperArtifacts` claims.
+SIZE = os.environ.get("BENCH_SIZE", "smoke")
 
 
 def mre_of(method, stream, epsilon, window, seed=0, repeats=3):
@@ -120,7 +150,7 @@ class TestEventMonitoringShape:
         # LSP's once-per-window snapshots go stale between samples.
         stream = make_lns(n_users=40_000, horizon=300, q_std=0.008, seed=13)
         aucs = {}
-        for method in ("LSP", "LPA"):
+        for method in ("LSP", "LPD", "LPA"):
             scores = []
             for seed in range(3):
                 result = run_stream(method, stream, epsilon=1.0, window=50, seed=seed)
@@ -129,3 +159,214 @@ class TestEventMonitoringShape:
                 )
             aucs[method] = np.mean(scores)
         assert aucs["LPA"] > aucs["LSP"]
+        assert aucs["LPD"] > aucs["LSP"]
+
+
+def _table2_deterministic_expected(method, dataset, window, size):
+    """Horizon-exact CFPU of Table 2's non-adaptive methods.
+
+    The paper's 1/w for LSP assumes T divisible by w; at finite horizons
+    LSP publishes ceil(T/w) times, so we compare against the exact value.
+    """
+    _, horizon = dataset_size(dataset, size)
+    if method == "LBU":
+        return 1.0
+    if method == "LSP":
+        return math.ceil(horizon / window) / horizon
+    if method == "LPU":
+        return 1.0 / window
+    raise KeyError(method)
+
+
+class TestPaperArtifacts:
+    """The qualitative shape (who wins, by roughly what factor) of each
+    regenerated figure and of Table 2.  The rendered series are printed,
+    so a failing claim shows its whole table."""
+
+    def test_fig4_series(self):
+        """Fig. 4 — MRE vs epsilon (w=20), LNS and Taxi panels."""
+        series = fig4_utility_vs_epsilon(
+            datasets=("LNS", "Taxi"),
+            epsilons=(0.5, 1.0, 1.5, 2.0, 2.5),
+            window=20,
+            size=SIZE,
+            repeats=2,
+            seed=42,
+        )
+        print(format_figure(series, x_label="epsilon"))
+        for dataset, methods in series.items():
+            # Trend: more budget, less error (compare the endpoints).
+            for method, values in methods.items():
+                assert values[2.5] < values[0.5] * 1.3, (
+                    f"{method} on {dataset}: MRE should fall with epsilon"
+                )
+            # Family ordering at eps = 1 (the paper's headline).
+            assert methods["LPU"][1.0] < methods["LBU"][1.0]
+            assert methods["LPA"][1.0] < methods["LBA"][1.0]
+            assert methods["LPD"][1.0] < methods["LBD"][1.0]
+
+    def test_fig5_series(self):
+        """Fig. 5 — MRE vs window size (eps=1): MRE grows with w, LBD
+        degrades fastest, the population family keeps its margin."""
+        windows = (10, 20, 30, 40, 50)
+        series = fig5_utility_vs_window(
+            datasets=("Sin", "Foursquare"),
+            windows=windows,
+            epsilon=1.0,
+            size=SIZE,
+            repeats=2,
+            seed=42,
+        )
+        print(format_figure(series, x_label="w"))
+        for dataset, methods in series.items():
+            # Non-adaptive methods grow monotonically-ish with w (endpoints).
+            for method in ("LBU", "LPU"):
+                assert methods[method][50] > methods[method][10], (
+                    f"{method} on {dataset}: MRE should grow with w"
+                )
+            # Population division keeps its advantage at every window size.
+            for w in windows:
+                assert methods["LPU"][w] < methods["LBU"][w]
+            # LBA more robust than LBD at the largest window (Fig. 5 text).
+            assert methods["LBA"][50] < methods["LBD"][50]
+
+    def test_fig6_population_panels(self):
+        """Fig. 6(a,b) — MRE vs population N (eps=1, w=30) on LNS and
+        Sin: error falls with N for every method."""
+        series = fig6_population(
+            populations=(
+                (2_000, 4_000, 8_000, 16_000)
+                if SIZE == "smoke"
+                else (10_000, 20_000, 40_000, 80_000)
+            ),
+            horizon=60 if SIZE == "smoke" else 200,
+            epsilon=1.0,
+            window=30,
+            repeats=2,
+            seed=7,
+        )
+        print(format_figure(series, x_label="N"))
+        for dataset, methods in series.items():
+            xs = sorted(next(iter(methods.values())))
+            for method, values in methods.items():
+                assert values[xs[-1]] < values[xs[0]], (
+                    f"{method} on {dataset}: MRE should fall with N"
+                )
+
+    def test_fig6_fluctuation_panels(self):
+        """Fig. 6(c,d) — MRE vs fluctuation (Q for LNS, b for Sin): the
+        population family dominates throughout; LSP degrades."""
+        series = fig6_fluctuation(
+            n_users=6_000 if SIZE == "smoke" else 20_000,
+            horizon=60 if SIZE == "smoke" else 200,
+            epsilon=1.0,
+            window=30,
+            repeats=2,
+            seed=7,
+        )
+        print(format_figure(series, x_label="fluctuation"))
+        for methods in series.values():
+            xs = sorted(next(iter(methods.values())))
+            # Budget family stays worse than population family at every x.
+            for x in xs:
+                assert methods["LPU"][x] < methods["LBU"][x]
+        # LSP is hurt by fluctuation: compare its endpoints on LNS.
+        lns = series["LNS"]["LSP"]
+        xs = sorted(lns)
+        assert lns[xs[-1]] > lns[xs[0]]
+
+    def test_fig7_roc_curves(self):
+        """Fig. 7 — event-monitoring ROC curves are well formed (the
+        family ordering is TestEventMonitoringShape's claim)."""
+        curves = fig7_event_monitoring(
+            datasets=("LNS", "Sin", "Taxi"),
+            epsilon=1.0,
+            window=50 if SIZE != "smoke" else 20,
+            size=SIZE,
+            seed=11,
+        )
+        print(format_roc_summary(curves))
+        for dataset, methods in curves.items():
+            for method, curve in methods.items():
+                assert 0.0 <= curve.auc <= 1.0
+                assert curve.false_positive_rate[-1] == pytest.approx(1.0)
+
+    def test_fig8_cfpu_panels(self):
+        """Fig. 8 — CFPU on LNS vs N, Q, epsilon and w: budget CFPU >= 1,
+        population CFPU ~ 1/w with LPD and LPA below LPU."""
+        smoke = SIZE == "smoke"
+        panels = fig8_communication(
+            populations=(
+                (2_000, 4_000, 8_000) if smoke else (5_000, 10_000, 20_000)
+            ),
+            q_values=(0.01, 0.02, 0.04, 0.08),
+            epsilons=(0.5, 1.0, 1.5, 2.0),
+            windows=(10, 20, 30, 40),
+            n_users=6_000 if smoke else 20_000,
+            horizon=80 if smoke else 200,
+            epsilon=1.0,
+            window=20,
+            seed=23,
+        )
+        print(format_figure(panels, x_label="x"))
+        for panel_name, methods in panels.items():
+            for x, value in methods["LBU"].items():
+                assert value == pytest.approx(1.0), (
+                    "LBU reports exactly once/step"
+                )
+            for x in methods["LBD"]:
+                assert methods["LBD"][x] > 1.0
+                assert methods["LBA"][x] > 1.0
+                assert methods["LPD"][x] < methods["LPU"][x] + 1e-9
+                assert methods["LPA"][x] < methods["LPU"][x] + 1e-9
+
+        # Panel-specific trends.
+        eps_panel = panels["epsilon"]
+        assert eps_panel["LPA"][2.0] >= eps_panel["LPA"][0.5] - 1e-3, (
+            "more budget -> cheaper publications -> CFPU should not fall"
+        )
+        w_panel = panels["window"]
+        assert w_panel["LPU"][40.0] < w_panel["LPU"][10.0], (
+            "LPU CFPU scales as 1/w"
+        )
+        assert w_panel["LSP"][40.0] < w_panel["LSP"][10.0]
+
+    def test_table2_cfpu(self):
+        """Table 2 — CFPU of all methods: the non-adaptive rows match
+        their exact values, the adaptive rows sit inside per-method bands
+        (Sections 5.4.3 / 6.3.3 at smoke, 15% of the paper above it)."""
+        kwargs = {"size": SIZE, "seed": 31}
+        if SIZE == "smoke":
+            kwargs["datasets"] = ("Sin", "Log", "Taxi")
+        table = table2_cfpu(settings=TABLE2_SETTINGS, **kwargs)
+        print(format_table2(table, PAPER_TABLE2))
+        for setting, methods in table.items():
+            _, window = setting
+            paper_block = PAPER_TABLE2[setting]
+            for method, per_dataset in methods.items():
+                for dataset, measured in per_dataset.items():
+                    reference = paper_block[method][dataset]
+                    cell = f"{method}/{dataset}{setting}: {measured}"
+                    if method in ("LBU", "LSP", "LPU"):
+                        expected = _table2_deterministic_expected(
+                            method, dataset, window, SIZE
+                        )
+                        assert measured == pytest.approx(
+                            expected, abs=2e-3
+                        ), f"{cell} vs {expected}"
+                    elif SIZE == "smoke":
+                        # Short horizons inflate adaptive CFPU (the initial
+                        # publication doesn't amortise); assert the
+                        # structural bands instead.
+                        if method in ("LBD", "LBA"):
+                            assert 1.0 < measured <= 2.0, cell
+                        else:  # LPD / LPA
+                            assert 1.0 / (2 * window) - 2e-3 <= measured <= (
+                                1.0 / window + 5e-3
+                            ), cell
+                    else:
+                        # Adaptive rows depend on the data and the
+                        # simulators: a relative band around the paper.
+                        assert measured == pytest.approx(
+                            reference, rel=0.15
+                        ), f"{cell} vs {reference}"
