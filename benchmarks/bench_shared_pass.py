@@ -40,9 +40,10 @@ from repro.experiments import DatasetSpec, execute_cells, grid_specs  # noqa: E4
 
 #: Grid per size tier: (n_users, horizon, mechanisms, epsilons, windows).
 #: Taxi is generative (per-user Markov chains), so stream generation is
-#: O(n_users) per timestamp while most per-session mechanism work is
-#: small fixed overhead — at these populations generation dominates,
-#: which is exactly the workload the shared pass amortises.
+#: O(n_users) per timestamp, and per-cell execution repeats it for every
+#: cell — the work the shared pass amortises.  Within one shared pass it
+#: is not the dominant layer: ``perfbench/PROFILE.md`` measured Taxi
+#: generation at 8 % of a sweep pass and the LPD/LPA sessions at 62 %.
 _GRIDS = {
     "smoke": (
         20_000,

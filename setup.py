@@ -20,7 +20,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-ldp-ids",
-    version="0.4.0",
+    version="1.0.0",
     description=(
         "Reproduction of LDP-IDS (SIGMOD 2022): w-event local "
         "differential privacy for infinite data streams"

@@ -3,7 +3,7 @@ Infinite Data Streams* (Ren et al., SIGMOD 2022).
 
 The library provides, end to end:
 
-* LDP **frequency oracles** (GRR, OUE, OLH, SUE) with exact count-level
+* LDP **frequency oracles** (GRR, OUE, OLH, SUE, HR) with exact count-level
   samplers and closed-form variances (:mod:`repro.freq_oracles`);
 * **stream datasets** — the paper's synthetic LNS/Sin/Log processes and
   generative simulators for its three real-world workloads

@@ -7,8 +7,9 @@
 * :class:`StreamSession` — incremental standing query
   (``start``/``observe``/``finalize``) enabling unbounded online runs.
 * :class:`SessionGroup` — many sessions over one shared stream pass.
-* :class:`SoAScheduler` — structure-of-arrays group execution (shared
-  value blocks, stacked oracle calls; see :mod:`repro.engine.soa`).
+* :class:`SoAScheduler` — structure-of-arrays group execution (one
+  shared value block and histogram pass per chunk; see
+  :mod:`repro.engine.soa`).
 * :func:`run_stream` — one-call session driver returning
   :class:`SessionResult`.
 """

@@ -213,9 +213,7 @@ class WEventAccountant:
         timestamp.  Contiguity lets the per-timestamp validation hoist
         out of the loop (time ordering is implied by the span, the budget
         is checked once), leaving only window eviction and the scalar
-        adds.  This is the ledger update under the SoA scheduler's fused
-        buckets (:mod:`repro.engine.soa`), where every uniform session of
-        a bucket charges one whole-chunk span per advance.
+        adds.
         """
         length = int(length)
         if length < 0:

@@ -3,9 +3,11 @@
 A parameter sweep runs the *same dataset* under many configurations
 (mechanism × epsilon × window × oracle × postprocess).  Executed naively,
 every configuration re-simulates the stream and recomputes the true
-frequencies from scratch — for generative simulators the data generation
-dominates the mechanism work, so a 7-mechanism × 4-epsilon grid pays for
-28 stream passes to do 1 pass worth of data work.
+frequencies from scratch, so a 7-mechanism × 4-epsilon grid pays for 28
+stream passes to do 1 pass worth of data work.  Generation is not the
+dominant cost of a pass (``perfbench/PROFILE.md`` measured Taxi
+generation at 8 % of a shared sweep pass, the LPD/LPA mechanism work at
+62 %), but per-cell execution pays it once per cell.
 
 :class:`SessionGroup` runs many :class:`~repro.engine.session.StreamSession`
 standing queries over a **single pass** of one dataset: each timestamp's
@@ -31,12 +33,11 @@ Execution
 ---------
 The pass runs through the structure-of-arrays scheduler
 (:mod:`repro.engine.soa`): one shared value block and one histogram pass
-per ``truth_chunk`` span, pre-warmed chunk contexts for every session,
-and stacked oracle calls fusing buckets of uniform-round sessions.
-Because every session reads the span only through the prefetched block
-(chunk kernels and the base per-step loop alike), this applies to
-sequential generative streams too: the block consumes the span once,
-for everyone.
+per ``truth_chunk`` span and pre-warmed chunk contexts for every
+session.  Because every session reads the span only through the
+prefetched block (chunk kernels and the base per-step loop alike), this
+applies to sequential generative streams too: the block consumes the
+span once, for everyone.
 """
 
 from __future__ import annotations

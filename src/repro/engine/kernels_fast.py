@@ -16,7 +16,7 @@ perturbation *draws* come from each session's private
 :class:`numpy.random.Generator`, so only the deterministic pre/post maps
 around the draws live in this module.  The parity suite
 (``tests/engine/test_kernels_fast.py``) checks every kernel bit-exact
-against a pure-python loop on every bucket shape the scheduler emits.
+against a pure-python loop on every block shape the scheduler emits.
 """
 
 from __future__ import annotations

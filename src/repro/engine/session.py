@@ -416,9 +416,9 @@ class StreamSession:
         """Post-process, store and trace a chunk's step records.
 
         Shared absorb tail of every bulk path — the in-session chunk
-        drive, and the SoA scheduler's generic and fused bucket drives —
-        so publication counting, post-processing, variance propagation
-        and trace bookkeeping stay byte-identical across them.
+        drive and the SoA scheduler's prepared drive — so publication
+        counting, post-processing, variance propagation and trace
+        bookkeeping stay byte-identical across them.
         """
         if len(records) != n:
             raise InvalidParameterError(

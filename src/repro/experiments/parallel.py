@@ -43,9 +43,8 @@ stream pass instead of 28 (see ``benchmarks/bench_shared_pass.py``).
 The shared pass runs through the group's structure-of-arrays scheduler
 (:mod:`repro.engine.soa`): each :data:`_SHARED_PASS_CHUNK`-timestamp
 span is read and histogrammed once for the whole group, every
-session's chunk context is pre-warmed with the shared arrays, and
-buckets of uniform-round sessions (e.g. all the LBU cells of an epsilon
-sweep) collapse into single stacked oracle calls.  This holds on
+and every session's chunk context is pre-warmed with the shared
+arrays.  This holds on
 generative simulators too — the SoA block fetch consumes each span
 exactly once — and is bit-identical to per-cell execution (see
 ``benchmarks/bench_shared_pass.py``).
@@ -256,8 +255,8 @@ class _DatasetLRU:
     Long campaigns visit many distinct datasets; an unbounded cache would
     pin every paper-tier value matrix in worker RAM for the lifetime of
     the pool.  The LRU keeps the handful of streams a figure's cells
-    revisit while letting cold ones be garbage collected.  Size is
-    tunable via ``REPRO_DATASET_CACHE`` (0 disables caching).
+    revisit while letting cold ones be garbage collected (``maxsize``
+    0 disables caching).
     """
 
     def __init__(self, maxsize: int):
@@ -288,9 +287,7 @@ class _DatasetLRU:
         self.misses = 0
 
 
-_DATASET_CACHE = _DatasetLRU(
-    maxsize=int(os.environ.get("REPRO_DATASET_CACHE", "4"))
-)
+_DATASET_CACHE = _DatasetLRU(maxsize=4)
 
 
 def _materialize(dataset: Union[DatasetSpec, StreamDataset]) -> StreamDataset:

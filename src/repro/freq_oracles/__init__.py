@@ -4,8 +4,11 @@ Public surface:
 
 * :class:`FrequencyOracle` — the oracle interface (perturb / aggregate /
   count-level ``sample_aggregate`` / closed-form ``variance``).
+* :class:`SupportCountOracle` — the shared count-level sampler of the
+  oracles whose support counts are two binomials per cell.
 * Concrete oracles: :class:`GRR`, :class:`OUE`, :class:`OLH`, :class:`SUE`,
-  all registered by name for :func:`get_oracle`.
+  :class:`HadamardResponse` (``"hr"``), all registered by name for
+  :func:`get_oracle`.
 * :mod:`~repro.freq_oracles.variance` — closed-form ``V(eps, n)`` helpers.
 * :mod:`~repro.freq_oracles.postprocess` — consistency post-processing.
 """
@@ -13,6 +16,7 @@ Public surface:
 from .base import (
     FOEstimate,
     FrequencyOracle,
+    SupportCountOracle,
     available_oracles,
     get_oracle,
     register_oracle,
@@ -41,6 +45,7 @@ from .variance import (
 __all__ = [
     "FOEstimate",
     "FrequencyOracle",
+    "SupportCountOracle",
     "available_oracles",
     "get_oracle",
     "register_oracle",

@@ -17,11 +17,17 @@ Two execution paths are provided by every oracle:
     count vector* from its exact sampling distribution (sums of independent
     Bernoullis become binomials/multinomials).  Statistically identical to
     running ``perturb`` + counting, but orders of magnitude faster for the
-    large populations in the paper's experiments.  Property tests in
-    ``tests/property/test_fo_equivalence.py`` check the two paths agree.
+    large populations in the paper's experiments.
 
-Both paths end in :meth:`FrequencyOracle.estimate`, the standard unbiased
-debiasing ``(c'/n - q) / (p - q)`` (Section 3.4).
+Both paths end in :meth:`FrequencyOracle.estimate_from_supports`, the
+standard unbiased debiasing ``(c'/n - q) / (p - q)`` (Section 3.4).
+
+There are two count-level draw shapes.  GRR spreads its liars with a
+multinomial; OUE, SUE, OLH and HR all draw ``Binomial(n_k, p) +
+Binomial(n - n_k, q)`` per cell with their own ``(p, q)``, so they share
+one implementation, :class:`SupportCountOracle`.  Each shape comes with
+prepared samplers (``round_sampler``, ``run_sampler``) that hoist the
+per-budget setup and stay bit-identical to ``sample_aggregate``.
 """
 
 from __future__ import annotations
@@ -105,7 +111,6 @@ class FrequencyOracle(abc.ABC):
         :meth:`aggregate`.
         """
 
-    @abc.abstractmethod
     def aggregate(
         self,
         reports: np.ndarray,
@@ -113,6 +118,9 @@ class FrequencyOracle(abc.ABC):
         epsilon: float,
     ) -> FOEstimate:
         """Debias per-user reports into an unbiased frequency estimate."""
+        supports = self.aggregate_supports(reports, domain_size, epsilon)
+        n = np.asarray(reports).shape[0]
+        return self.estimate_from_supports(supports, n, domain_size, epsilon)
 
     # ------------------------------------------------------------------
     # Sufficient statistics (shard mergeability)
@@ -208,35 +216,6 @@ class FrequencyOracle(abc.ABC):
         estimate is distributed exactly as ``aggregate(perturb(...))``.
         """
 
-    def sample_aggregate_batch(
-        self,
-        true_counts: np.ndarray,
-        epsilon: float,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        """Sample many aggregation outcomes at once from a count matrix.
-
-        ``true_counts`` is a ``(B, d)`` matrix — one exact value
-        histogram per round (rows may have different totals).  Returns
-        the ``(B, d)`` matrix of unbiased frequency estimates, row ``b``
-        distributed exactly as ``sample_aggregate(true_counts[b], ...)``.
-
-        The base implementation loops row by row; OUE/SUE/GRR override
-        it with single batched binomial/multinomial draws.  This is a
-        standalone offline/replay API — e.g. for sampling estimates over
-        whole count blocks in analysis or benchmarking code — the
-        streaming engine itself still samples one collection round at a
-        time, because mechanisms decide each round adaptively.
-        """
-        counts = self._check_batch_counts(true_counts)
-        rng = ensure_rng(rng)
-        return np.stack(
-            [
-                self.sample_aggregate(row, epsilon, rng=rng).frequencies
-                for row in counts
-            ]
-        )
-
     def sample_aggregate_run(
         self,
         true_counts: np.ndarray,
@@ -246,106 +225,54 @@ class FrequencyOracle(abc.ABC):
         """Sample a *run* of consecutive rounds, replaying the per-round
         draw order exactly.
 
-        Like :meth:`sample_aggregate_batch`, ``true_counts`` is a
-        ``(B, d)`` matrix of exact per-round value histograms and the
-        result is the ``(B, d)`` matrix of unbiased frequency estimates.
-        The contract is stronger, though: the output is **bit-identical**
-        to calling :meth:`sample_aggregate` row by row on the same
-        generator — the run consumes the generator's bitstream in the
-        same element order the streaming engine's per-round loop would.
-        This is what lets the chunked ingestion path
-        (:meth:`repro.engine.session.StreamSession.observe_many`) batch
-        whole spans of collection rounds without changing a single
-        released float.
+        ``true_counts`` is a ``(B, d)`` matrix of exact per-round value
+        histograms (rows may have different totals); the result is the
+        ``(B, d)`` matrix of unbiased frequency estimates.  The output
+        is **bit-identical** to calling :meth:`sample_aggregate` row by
+        row on the same generator — the run consumes the generator's
+        bitstream in the same element order the streaming engine's
+        per-round loop would.  This is what lets the chunked ingestion
+        path (:meth:`repro.engine.session.StreamSession.observe_many`)
+        batch whole spans of collection rounds without changing a
+        single released float.
 
-        The base implementation is literally the sequential loop.
-        Subclasses whose per-round sampler has a fixed draw structure
-        override it: OLH/HR delegate to their (already order-preserving)
-        batch samplers, OUE/SUE interleave their two binomials into one
-        ``(B, 2, d)`` element-ordered draw, and GRR hoists the per-round
-        setup out of a tight loop (its binomial/multinomial interleaving
-        cannot be merged across rounds).
+        This is the eager form of :meth:`run_sampler`.
         """
         counts = self._check_batch_counts(true_counts)
-        rng = ensure_rng(rng)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        return np.stack(
-            [
-                self.sample_aggregate(row, epsilon, rng=rng).frequencies
-                for row in counts
-            ]
+        return self.run_sampler(epsilon, counts.shape[1])(
+            counts, ensure_rng(rng)
         )
 
     def run_sampler(self, epsilon: float, domain_size: int):
         """Build a prepared *run* sampler for a fixed budget.
 
         Returns a callable ``sample(true_counts, rng) -> (B, d)`` that is
-        **bit-identical** to
-        ``sample_aggregate_run(true_counts, epsilon, rng=rng)`` — same
-        generator draws in the same element order, same floating-point
-        expressions — with every run-invariant (parameter validation,
-        the ``(p, q)`` debias constants, probability planes, GRR's
-        liar-spread matrix) hoisted out of the per-chunk path.  The
+        **bit-identical** to sequential :meth:`sample_aggregate` calls
+        on the same generator (see :meth:`sample_aggregate_run`).  The
         collector memoizes one prepared sampler per budget
-        (:meth:`repro.engine.collector.Collector.run_sampler`), so the
-        oracle's affine setup runs once per session instead of once per
-        chunk.
+        (:meth:`repro.engine.collector.Collector.run_sampler`), so an
+        oracle's per-budget setup runs once per session instead of once
+        per chunk.
+
+        The base implementation is literally the sequential loop; the
+        two draw shapes (:class:`SupportCountOracle` and GRR) override
+        it with their hoisted kernels.
         """
         epsilon = self._check_epsilon(epsilon)
         self._check_domain(domain_size)
 
         def sample(true_counts: np.ndarray, rng) -> np.ndarray:
-            return self.sample_aggregate_run(true_counts, epsilon, rng=rng)
+            counts = self._check_batch_counts(true_counts)
+            if counts.shape[0] == 0:
+                return np.empty((0, counts.shape[1]), dtype=np.float64)
+            return np.stack(
+                [
+                    self.sample_aggregate(row, epsilon, rng=rng).frequencies
+                    for row in counts
+                ]
+            )
 
         return sample
-
-    def sample_aggregate_run_stacked(
-        self,
-        true_counts: np.ndarray,
-        epsilons,
-        rngs,
-    ) -> np.ndarray:
-        """Run-sample ``S`` private sessions over one shared count block.
-
-        ``true_counts`` is the shared ``(B, d)`` block of exact per-round
-        value histograms; ``epsilons[s]`` and ``rngs[s]`` are session
-        ``s``'s per-round budget and **private** generator (``epsilons``
-        may also be a scalar applied to every layer).  Returns an
-        ``(S, B, d)`` stack whose layer ``s`` is **bit-identical** to
-        ``sample_aggregate_run(true_counts, epsilons[s], rng=rngs[s])``:
-        each layer's draws come from its own generator only, so stacking
-        sessions shares *arrays* (the count block, trial stacks,
-        probability planes) but never randomness.  This is the kernel the
-        SoA scheduler (:mod:`repro.engine.soa`) drives a whole bucket of
-        fused sessions through.
-
-        The base implementation is the per-session loop; subclasses hoist
-        the budget-independent draw scaffolding (OUE/SUE/OLH/HR build the
-        ``(B, 2, d)`` trial stack once for every session, GRR builds its
-        liar-spread matrix once) and cache per-distinct-budget constants.
-        """
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = self._stack_epsilons(epsilons, len(rngs))
-        out = np.empty(
-            (len(rngs), counts.shape[0], counts.shape[1]), dtype=np.float64
-        )
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            out[s] = self.sample_aggregate_run(counts, eps, rng=rng)
-        return out
-
-    @staticmethod
-    def _stack_epsilons(epsilons, n_sessions: int) -> list:
-        """Normalise a scalar-or-sequence budget spec to one per session."""
-        if isinstance(epsilons, (int, float)):
-            return [float(epsilons)] * n_sessions
-        epsilons = [float(eps) for eps in epsilons]
-        if len(epsilons) != n_sessions:
-            raise InvalidParameterError(
-                f"got {len(epsilons)} epsilons for {n_sessions} sessions"
-            )
-        return epsilons
 
     def round_sampler(self, epsilon: float, domain_size: int):
         """Build a prepared single-round sampler for a fixed budget.
@@ -434,6 +361,91 @@ class FrequencyOracle(abc.ABC):
         if n <= 0:
             raise InvalidParameterError("cannot aggregate zero reports")
         return (perturbed_counts / n - q) / (p - q)
+
+
+class SupportCountOracle(FrequencyOracle):
+    """Oracles whose support counts are two binomials per cell.
+
+    For OUE, SUE, OLH and HR a report supports its owner's value with
+    probability ``p`` and any other fixed value with probability ``q``,
+    independently per cell, so cell ``k``'s perturbed support count is
+    ``Binomial(n_k, p) + Binomial(n - n_k, q)`` with ``(p, q)`` from
+    :meth:`support_probabilities`.  That is exact for the unary encodings
+    and for OLH (over the hash randomness); for HR it is cell-wise exact
+    and drops the cross-cell correlations of the true protocol.
+
+    Subclasses supply only their own parts: ``support_probabilities``,
+    ``perturb``, ``aggregate_supports`` and ``variance``.
+    """
+
+    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
+        epsilon = self._check_epsilon(epsilon)
+        true_counts = np.asarray(true_counts, dtype=np.int64)
+        domain_size = self._check_domain(true_counts.shape[0])
+        rng = ensure_rng(rng)
+        n = int(true_counts.sum())
+        p, q = self.support_probabilities(epsilon, domain_size)
+        own = rng.binomial(true_counts, p)
+        other = rng.binomial(n - true_counts, q)
+        supports = (own + other).astype(np.float64)
+        return FOEstimate(
+            frequencies=self._debias(supports, n, p, q),
+            n_reports=n,
+            epsilon=epsilon,
+            variance=self.variance(epsilon, n, domain_size),
+            supports=supports,
+        )
+
+    def round_sampler(self, epsilon, domain_size):
+        epsilon = self._check_epsilon(epsilon)
+        domain_size = self._check_domain(domain_size)
+        p, q = self.support_probabilities(epsilon, domain_size)
+        probs = np.empty((2, domain_size))
+        probs[0] = p
+        probs[1] = q
+        trials = np.empty((2, domain_size), dtype=np.int64)
+
+        # One stacked (2, d) binomial call: numpy fills it element-wise in
+        # C order (owner row, then background row), consuming the exact
+        # bitstream of sample_aggregate's two sequential binomials, while
+        # paying one call's fixed overhead instead of two.
+        def sample(true_counts, rng):
+            n = int(true_counts.sum())
+            trials[0] = true_counts
+            np.subtract(n, true_counts, out=trials[1])
+            draws = rng.binomial(trials, probs)
+            supports = (draws[0] + draws[1]).astype(np.float64)
+            return (supports / n - q) / (p - q)
+
+        return sample
+
+    def run_sampler(self, epsilon, domain_size):
+        from ..engine.kernels_fast import debias_rows
+
+        epsilon = self._check_epsilon(epsilon)
+        self._check_domain(domain_size)
+        p, q = self.support_probabilities(epsilon, domain_size)
+        pq_plane = np.array([p, q]).reshape(1, 2, 1)
+
+        # Interleaved (B, 2, d) stack: row b's owner draws (prob p) come
+        # immediately before its background draws (prob q), in C order —
+        # exactly the order sample_aggregate's two binomials consume the
+        # generator round by round, so the run is bit-identical to the
+        # per-round path.
+        def sample(true_counts, rng):
+            counts = self._check_batch_counts(true_counts)
+            if counts.shape[0] == 0:
+                return np.empty((0, counts.shape[1]), dtype=np.float64)
+            n = counts.sum(axis=1, keepdims=True)
+            if int(n.min()) <= 0:
+                raise InvalidParameterError("cannot aggregate zero reports")
+            trials = np.stack([counts, n - counts], axis=1)
+            probs = np.broadcast_to(pq_plane, trials.shape)
+            draws = rng.binomial(trials, probs)
+            supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
+            return debias_rows(supports, n[:, 0].astype(np.float64), p, q)
+
+        return sample
 
 
 # ----------------------------------------------------------------------

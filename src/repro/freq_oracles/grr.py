@@ -25,6 +25,14 @@ def grr_probabilities(epsilon: float, domain_size: int) -> tuple[float, float]:
     return p, q
 
 
+def _liar_spread(domain_size: int) -> np.ndarray:
+    """``(d, d)`` multinomial rows: row ``k`` is uniform over the other
+    ``d - 1`` values, with a zero on the diagonal."""
+    spread = np.full((domain_size, domain_size), 1.0 / (domain_size - 1))
+    np.fill_diagonal(spread, 0.0)
+    return spread
+
+
 @register_oracle
 class GRR(FrequencyOracle):
     """Generalized Randomized Response (a.k.a. k-RR / direct encoding)."""
@@ -56,11 +64,6 @@ class GRR(FrequencyOracle):
         reports = self._check_values(reports, domain_size)
         return np.bincount(reports, minlength=domain_size)
 
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
     def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
         epsilon = self._check_epsilon(epsilon)
         true_counts = np.asarray(true_counts, dtype=np.int64)
@@ -78,11 +81,7 @@ class GRR(FrequencyOracle):
         keepers = rng.binomial(true_counts, p)
         liars = true_counts - keepers
         perturbed = keepers.astype(np.float64)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        spread = rng.multinomial(liars, uniform_over_others)
+        spread = rng.multinomial(liars, _liar_spread(domain_size))
         perturbed += spread.sum(axis=0)
         freqs = self._debias(perturbed, n, p, q)
         return FOEstimate(
@@ -93,74 +92,19 @@ class GRR(FrequencyOracle):
             supports=perturbed,
         )
 
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        domain_size = self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = grr_probabilities(epsilon, domain_size)
-        # Batched form of the single-round fast path: keeper binomials
-        # over the whole (B, d) matrix, then one broadcast multinomial —
-        # liars (B, d) against the (d, d) spread rows gives (B, d, d);
-        # summing over the source axis yields each round's liar spread.
-        keepers = rng.binomial(counts, p)
-        liars = counts - keepers
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        spread = rng.multinomial(liars, uniform_over_others)
-        perturbed = keepers + spread.sum(axis=1)
-        return (perturbed / n - q) / (p - q)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        domain_size = self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        # GRR's per-round sampler alternates a binomial with a multinomial,
-        # so consecutive rounds cannot merge into one generator call
-        # without reordering the bitstream.  Instead the loop stays — with
-        # every round-invariant (probabilities, the liar-spread matrix,
-        # parameter checks) hoisted out — and each iteration issues the
-        # exact two draws sample_aggregate would, keeping the run
-        # bit-identical to the per-round path.
-        perturbed = np.empty(counts.shape, dtype=np.float64)
-        for b, row in enumerate(counts):
-            keepers = rng.binomial(row, p)
-            liars = row - keepers
-            spread = rng.multinomial(liars, uniform_over_others)
-            perturbed[b] = keepers
-            perturbed[b] += spread.sum(axis=0)
-        return (perturbed / n[:, None] - q) / (p - q)
-
     def run_sampler(self, epsilon, domain_size):
         from ..engine.kernels_fast import debias_rows
 
         epsilon = self._check_epsilon(epsilon)
         domain_size = self._check_domain(domain_size)
         p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
+        uniform_over_others = _liar_spread(domain_size)
 
-        # Prepared sample_aggregate_run: the (d, d) liar-spread matrix and
-        # probability setup build once per budget; the per-round draw loop
-        # is unchanged, so the prepared run stays bit-identical.
+        # GRR alternates a binomial with a multinomial per round, so rounds
+        # cannot merge into one generator call without reordering the
+        # bitstream.  The loop stays, with the liar-spread matrix and the
+        # probability setup built once per budget: each iteration issues
+        # the exact two draws sample_aggregate would.
         def sample(true_counts, rng):
             counts = self._check_batch_counts(true_counts)
             if counts.shape[0] == 0:
@@ -179,57 +123,11 @@ class GRR(FrequencyOracle):
 
         return sample
 
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        domain_size = self._check_domain(d)
-        n = counts.sum(axis=1)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # One liar-spread matrix serves every session; probabilities are
-        # cached per distinct budget.  Each layer replays the per-round
-        # binomial/multinomial interleave on its own generator only —
-        # draw for draw what sample_aggregate_run does solo.
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        n_rows = n.astype(np.float64)
-        pq_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        perturbed = np.empty((rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            pq = pq_cache.get(eps)
-            if pq is None:
-                pq = pq_cache[eps] = grr_probabilities(eps, domain_size)
-            p, q = pq
-            for b, row in enumerate(counts):
-                keepers = rng.binomial(row, p)
-                liars = row - keepers
-                spread = rng.multinomial(liars, uniform_over_others)
-                perturbed[b] = keepers
-                perturbed[b] += spread.sum(axis=0)
-            out[s] = debias_rows(perturbed, n_rows, p, q)
-        return out
-
     def round_sampler(self, epsilon, domain_size):
         epsilon = self._check_epsilon(epsilon)
         domain_size = self._check_domain(domain_size)
         p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
+        uniform_over_others = _liar_spread(domain_size)
 
         # Building the (d, d) liar-spread matrix dominates GRR's per-call
         # cost; hoisting it (plus the probability setup) leaves exactly

@@ -23,9 +23,8 @@ import math
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
-from .base import FOEstimate, FrequencyOracle, register_oracle
+from .base import SupportCountOracle, register_oracle
 
 
 def hadamard_order(domain_size: int) -> int:
@@ -60,7 +59,7 @@ def hr_probability(epsilon: float) -> float:
 
 
 @register_oracle
-class HadamardResponse(FrequencyOracle):
+class HadamardResponse(SupportCountOracle):
     """Hadamard Response: one log2(K)-bit report per user."""
 
     name = "hr"
@@ -106,146 +105,6 @@ class HadamardResponse(FrequencyOracle):
             signs = hadamard_entry(np.int64(v + 1), reports)
             supports[v] = np.count_nonzero(signs == 1)
         return supports
-
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
-    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        domain_size = self._check_domain(true_counts.shape[0])
-        rng = ensure_rng(rng)
-        n = int(true_counts.sum())
-        p = hr_probability(epsilon)
-        # A report supports its owner's value with probability p and any
-        # other value with probability 1/2 (orthogonality) — cell-wise
-        # exact, cross-cell correlations dropped (see module docstring).
-        own = rng.binomial(true_counts, p)
-        other = rng.binomial(n - true_counts, 0.5)
-        supports = (own + other).astype(np.float64)
-        freqs = (supports / n - 0.5) / (p - 0.5)
-        return FOEstimate(
-            frequencies=freqs,
-            n_reports=n,
-            epsilon=epsilon,
-            variance=self.variance(epsilon, n, domain_size),
-            supports=supports,
-        )
-
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p = hr_probability(epsilon)
-        # Interleaved (B, 2, d) stack replays the single-round draw order
-        # (own-support p-draws, then other-support 1/2-draws, per row in
-        # C order), making the batch bit-identical to sequential
-        # sample_aggregate calls on the same generator — same trick as
-        # OLH.sample_aggregate_batch.
-        trials = np.stack([counts, n - counts], axis=1)
-        probs = np.broadcast_to(
-            np.array([p, 0.5]).reshape(1, 2, 1), trials.shape
-        )
-        draws = rng.binomial(trials, probs)
-        supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-        return (supports / n - 0.5) / (p - 0.5)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        # The batch sampler already replays the per-round draw order
-        # exactly (see its docstring), so it doubles as the run kernel.
-        return self.sample_aggregate_batch(true_counts, epsilon, rng=rng)
-
-    def run_sampler(self, epsilon, domain_size):
-        from ..engine.kernels_fast import debias_rows
-
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p = hr_probability(epsilon)
-        pq_plane = np.array([p, 0.5]).reshape(1, 2, 1)
-
-        # Prepared sample_aggregate_run (= the batch sampler) with the
-        # probability setup hoisted per budget; same (B, 2, d)
-        # element-ordered draw, bit-identical output.
-        def sample(true_counts, rng):
-            counts = self._check_batch_counts(true_counts)
-            if counts.shape[0] == 0:
-                return np.empty((0, counts.shape[1]), dtype=np.float64)
-            n = counts.sum(axis=1, keepdims=True)
-            if int(n.min()) <= 0:
-                raise InvalidParameterError("cannot aggregate zero reports")
-            trials = np.stack([counts, n - counts], axis=1)
-            probs = np.broadcast_to(pq_plane, trials.shape)
-            draws = rng.binomial(trials, probs)
-            supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            return debias_rows(supports, n[:, 0].astype(np.float64), p, 0.5)
-
-        return sample
-
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        self._check_domain(d)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # Shared budget-independent (B, 2, d) trial stack; probability
-        # planes cached per distinct budget; strictly private generators
-        # per layer (see OUE).
-        trials = np.stack([counts, n - counts], axis=1)
-        n_rows = n[:, 0].astype(np.float64)
-        setup_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            setup = setup_cache.get(eps)
-            if setup is None:
-                p = hr_probability(eps)
-                probs = np.broadcast_to(
-                    np.array([p, 0.5]).reshape(1, 2, 1), trials.shape
-                )
-                setup = setup_cache[eps] = (p, probs)
-            p, probs = setup
-            draws = rng.binomial(trials, probs)
-            supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            out[s] = debias_rows(supports, n_rows, p, 0.5)
-        return out
-
-    def round_sampler(self, epsilon, domain_size):
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p = hr_probability(epsilon)
-        probs = np.empty((2, domain_size))
-        probs[0] = p
-        probs[1] = 0.5
-        trials = np.empty((2, domain_size), dtype=np.int64)
-
-        # One stacked (2, d) binomial replaying sample_aggregate's
-        # own/other binomials bit-for-bit (C-order element fill, the
-        # run-kernel property) with one call's fixed overhead.
-        def sample(true_counts, rng):
-            n = int(true_counts.sum())
-            trials[0] = true_counts
-            np.subtract(n, true_counts, out=trials[1])
-            draws = rng.binomial(trials, probs)
-            supports = (draws[0] + draws[1]).astype(np.float64)
-            return (supports / n - 0.5) / (p - 0.5)
-
-        return sample
 
     def variance(self, epsilon: float, n: int, domain_size: int) -> float:
         p = hr_probability(epsilon)

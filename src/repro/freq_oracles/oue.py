@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
-from .base import FOEstimate, FrequencyOracle, register_oracle
+from .base import SupportCountOracle, register_oracle
 from .variance import oue_mean_variance
 
 
@@ -25,7 +24,7 @@ def oue_probabilities(epsilon: float) -> tuple[float, float]:
 
 
 @register_oracle
-class OUE(FrequencyOracle):
+class OUE(SupportCountOracle):
     """Optimized Unary Encoding."""
 
     name = "oue"
@@ -55,162 +54,6 @@ class OUE(FrequencyOracle):
         if reports.ndim != 2 or reports.shape[1] != domain_size:
             raise ValueError("OUE reports must be an (n, d) bit matrix")
         return reports.sum(axis=0, dtype=np.int64)
-
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
-    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        domain_size = self._check_domain(true_counts.shape[0])
-        rng = ensure_rng(rng)
-        n = int(true_counts.sum())
-        p, q = oue_probabilities(epsilon)
-        # Per cell k: Binomial(n_k, p) ones from owners + Binomial(n-n_k, q)
-        # from everyone else — bits are independent so this is exact.
-        ones_from_owners = rng.binomial(true_counts, p)
-        ones_from_others = rng.binomial(n - true_counts, q)
-        counts = (ones_from_owners + ones_from_others).astype(np.float64)
-        freqs = self._debias(counts, n, p, q)
-        return FOEstimate(
-            frequencies=freqs,
-            n_reports=n,
-            epsilon=epsilon,
-            variance=self.variance(epsilon, n, domain_size),
-            supports=counts,
-        )
-
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = oue_probabilities(epsilon)
-        # The single-round sampler is two binomials per histogram; bits
-        # are independent across rounds too, so one batched draw over the
-        # whole (B, d) matrix is exact.
-        ones = rng.binomial(counts, p) + rng.binomial(n - counts, q)
-        return (ones / n - q) / (p - q)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = oue_probabilities(epsilon)
-        # Interleaved (B, 2, d) stack: row b's owner draws (prob p) come
-        # immediately before its background draws (prob q), in C order —
-        # exactly the order sample_aggregate's two binomials consume the
-        # generator round by round, so the run is bit-identical to the
-        # per-round path (the same trick OLH/HR use in their batch
-        # samplers).
-        trials = np.stack([counts, n - counts], axis=1)
-        probs = np.broadcast_to(
-            np.array([p, q]).reshape(1, 2, 1), trials.shape
-        )
-        draws = rng.binomial(trials, probs)
-        ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-        return (ones / n - q) / (p - q)
-
-    def run_sampler(self, epsilon, domain_size):
-        from ..engine.kernels_fast import debias_rows
-
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p, q = oue_probabilities(epsilon)
-        pq_plane = np.array([p, q]).reshape(1, 2, 1)
-
-        # Prepared form of sample_aggregate_run with the probability
-        # constants and debias map hoisted per budget.  Draw order and
-        # floating-point expressions are unchanged, so the prepared
-        # sampler stays bit-identical to the unprepared run.
-        def sample(true_counts, rng):
-            counts = self._check_batch_counts(true_counts)
-            if counts.shape[0] == 0:
-                return np.empty((0, counts.shape[1]), dtype=np.float64)
-            n = counts.sum(axis=1, keepdims=True)
-            if int(n.min()) <= 0:
-                raise InvalidParameterError("cannot aggregate zero reports")
-            trials = np.stack([counts, n - counts], axis=1)
-            probs = np.broadcast_to(pq_plane, trials.shape)
-            draws = rng.binomial(trials, probs)
-            ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            return debias_rows(ones, n[:, 0].astype(np.float64), p, q)
-
-        return sample
-
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        self._check_domain(d)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # The (B, 2, d) trial stack is budget-independent, so one build
-        # serves every session; the probability plane is built once per
-        # distinct budget.  Each layer then consumes only its own
-        # generator, exactly as sample_aggregate_run would — stacking
-        # shares arrays, never randomness.
-        trials = np.stack([counts, n - counts], axis=1)
-        n_rows = n[:, 0].astype(np.float64)
-        probs_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            p, q = oue_probabilities(eps)
-            probs = probs_cache.get(eps)
-            if probs is None:
-                probs = np.broadcast_to(
-                    np.array([p, q]).reshape(1, 2, 1), trials.shape
-                )
-                probs_cache[eps] = probs
-            draws = rng.binomial(trials, probs)
-            ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            out[s] = debias_rows(ones, n_rows, p, q)
-        return out
-
-    def round_sampler(self, epsilon, domain_size):
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p, q = oue_probabilities(epsilon)
-        probs = np.empty((2, domain_size))
-        probs[0] = p
-        probs[1] = q
-        trials = np.empty((2, domain_size), dtype=np.int64)
-
-        # One stacked (2, d) binomial call: numpy fills it element-wise in
-        # C order (owner row, then background row), consuming the exact
-        # bitstream of sample_aggregate's two sequential binomials — same
-        # property the (B, 2, d) run kernel relies on — while paying one
-        # call's fixed overhead instead of two.
-        def sample(true_counts, rng):
-            n = int(true_counts.sum())
-            trials[0] = true_counts
-            np.subtract(n, true_counts, out=trials[1])
-            draws = rng.binomial(trials, probs)
-            counts = (draws[0] + draws[1]).astype(np.float64)
-            return (counts / n - q) / (p - q)
-
-        return sample
 
     def variance(self, epsilon: float, n: int, domain_size: int) -> float:
         return oue_mean_variance(epsilon, n, domain_size)

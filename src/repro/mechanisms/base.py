@@ -112,37 +112,6 @@ class StreamMechanism(abc.ABC):
         return [self.step(step_ctx) for step_ctx in ctx.timesteps()]
 
     # ------------------------------------------------------------------
-    # SoA fusion protocol
-    # ------------------------------------------------------------------
-    def uniform_run_epsilon(self) -> Optional[float]:
-        """SoA fusion hook: the fixed per-step all-user budget, if any.
-
-        Mechanisms whose chunk is always *one all-user FO round per
-        timestamp at one fixed budget* (LBU's ``eps/w``) return that
-        budget; the SoA scheduler (:mod:`repro.engine.soa`) then fuses a
-        whole bucket of such sessions into a single stacked oracle call
-        per chunk, pairing it with :meth:`absorb_run` to rebuild each
-        session's records.  ``None`` (the default) means no such fusion
-        applies and the session runs through its ordinary chunk kernel.
-        """
-        return None
-
-    def absorb_run(self, t0, frequencies, n_reports) -> List[StepRecord]:
-        """Build a chunk's records from already-collected FO rounds.
-
-        Counterpart of :meth:`uniform_run_epsilon`: ``frequencies`` /
-        ``n_reports`` are exactly what the mechanism's own
-        ``collect_run`` call would have returned for the chunk starting
-        at ``t0``, already charged and metered by the caller.  Must
-        update mechanism state (``last_release``) exactly as
-        :meth:`step_many` would.  Only meaningful on mechanisms that
-        return a budget from :meth:`uniform_run_epsilon`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support fused runs"
-        )
-
-    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

@@ -39,23 +39,15 @@ class LBU(StreamMechanism):
     def step_many(self, ctx: ChunkContext) -> List[StepRecord]:
         # Every timestamp collects from everyone with the same budget, so
         # the whole chunk is one batched run of FO rounds.
-        frequencies, n_reports = ctx.collect_run(self.epsilon / self.window)
-        return self.absorb_run(ctx.t0, frequencies, n_reports)
-
-    def uniform_run_epsilon(self) -> float:
-        # One all-user round at eps/w every timestamp: the shape the SoA
-        # scheduler can fuse across a whole bucket of sessions.
-        return self.epsilon / self.window
-
-    def absorb_run(self, t0, frequencies, n_reports) -> List[StepRecord]:
         per_step_epsilon = self.epsilon / self.window
+        frequencies, n_reports = ctx.collect_run(per_step_epsilon)
         records = []
         for i in range(frequencies.shape[0]):
             release = frequencies[i]
             reports = int(n_reports[i])
             records.append(
                 StepRecord(
-                    t=t0 + i,
+                    t=ctx.t0 + i,
                     release=release,
                     strategy=STRATEGY_PUBLISH,
                     publication_epsilon=per_step_epsilon,

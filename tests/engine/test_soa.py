@@ -1,6 +1,6 @@
 """SoA scheduler conformance: bit-identity with solo runs at every
 chunk size, on random-access and sequential streams, through mid-pass
-checkpoints, with the fused and generic bucket paths both exercised."""
+checkpoints."""
 
 import json
 
@@ -109,8 +109,8 @@ class TestSoloBitIdentity:
             assert_results_identical(results[i], solo)
 
     def test_fused_bucket_matches_solo_many_epsilons(self):
-        # Same mechanism family + oracle at many budgets: one stacked
-        # call drives the whole bucket.
+        # Many LBU sessions over one oracle at different budgets: each
+        # draws from its own generator through its own prepared sampler.
         dataset = _dataset()
         group = SessionGroup(dataset, truth_chunk=8)
         epsilons = (0.5, 1.0, 2.0, 4.0)
