@@ -38,11 +38,13 @@ against a run saved with ``run --save-json``.
 
 ``stream`` and ``serve`` become **durable** with ``--state-dir DIR``:
 each flushed chunk commits its releases to an fsync'd write-ahead log
-(before ``serve`` acknowledges them) and every ``--checkpoint-every N``
-chunks a full checkpoint is written atomically, so a crashed process
-restarted with the replayed feed resumes mid-stream with exactly-once
-ingestion (re-sent timestamps are acknowledged as skipped) and
-bit-identical output — see ``docs/PERSISTENCE.md``.
+before ``stream`` prints them or ``serve`` acknowledges them, and every
+``--checkpoint-every N`` chunks a full checkpoint is written
+atomically, so a crashed process restarted with the replayed feed
+resumes mid-stream with exactly-once ingestion (re-sent timestamps are
+skipped, or acknowledged as skipped) and bit-identical output.  Both
+run through one :class:`~repro.persist.DurableSession` — ``stream``
+directly, ``serve`` in each shard worker — see ``docs/PERSISTENCE.md``.
 
 Examples
 --------
@@ -418,62 +420,6 @@ def _parse_snapshot_line(line: str):
         ) from None
 
 
-def _prepare_state_dir(args):
-    """Open ``--state-dir`` and make it resume-consistent.
-
-    Returns ``(state_dir, checkpoint, watermark)`` — all ``None``/0 when
-    persistence is off.  The WAL is truncated to the checkpoint's
-    watermark here (see :meth:`repro.persist.StateDir.prepare_resume`),
-    so everything that happens afterwards regenerates the cut span
-    bit-identically.
-    """
-    if args.state_dir is None:
-        return None, None, 0
-    from .persist import StateDir
-
-    if args.checkpoint_every < 1:
-        raise InvalidParameterError(
-            f"checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
-    state = StateDir(args.state_dir)
-    checkpoint, watermark = state.prepare_resume()
-    return state, checkpoint, watermark
-
-
-def _resume_session(checkpoint, *, expect: dict, chunk: int):
-    """Rebuild a session from a state-dir checkpoint, validating config.
-
-    A checkpoint only resumes under the configuration it was taken with
-    — silently continuing an LBD stream as LPA (or at a different
-    epsilon) would corrupt both the privacy ledger and the released
-    trace, so every mismatch between the checkpoint's recorded config
-    and the current command line is fatal.
-    """
-    from .exceptions import CheckpointError
-    from .streams import OnlineStream
-
-    config = checkpoint.payload.get("config")
-    if not isinstance(config, dict):
-        raise CheckpointError("checkpoint payload has no 'config' section")
-    mismatches = [
-        f"{key} is {config.get(key)!r} in the checkpoint but {value!r} "
-        f"on the command line"
-        for key, value in expect.items()
-        if config.get(key) != value
-    ]
-    if mismatches:
-        raise CheckpointError(
-            "--state-dir checkpoint disagrees with the flags: "
-            + "; ".join(mismatches)
-        )
-    stream = OnlineStream(
-        n_users=int(config["n_users"]),
-        domain_size=int(config["domain_size"]),
-        retain=max(4, chunk),
-    )
-    return checkpoint.restore(stream), stream
-
-
 def _cmd_stream(args) -> int:
     """Online ingestion: one StreamSession advanced line by line.
 
@@ -484,19 +430,21 @@ def _cmd_stream(args) -> int:
     the per-step loop), they just appear once per chunk instead of once
     per line.
 
-    With ``--state-dir`` every flushed chunk appends its releases to a
-    fsync'd write-ahead log and (every ``--checkpoint-every`` chunks)
-    writes a full checkpoint; on startup the session resumes from the
-    latest checkpoint and the first ``watermark`` input lines of the
-    replayed feed are skipped, so ingestion is exactly-once across
-    crashes.
+    The session is a :class:`~repro.persist.DurableSession`.  With
+    ``--state-dir`` every flushed chunk commits its releases to a
+    fsync'd write-ahead log before they are printed and (every
+    ``--checkpoint-every`` chunks) writes a full checkpoint; on startup
+    the session resumes from the latest checkpoint and the first
+    ``watermark`` input lines of the replayed feed are skipped, so
+    ingestion is exactly-once across crashes.  Skipped lines count
+    toward ``--max-steps``.
     """
     import contextlib
+    import itertools
 
-    from .engine import StreamSession
     from .freq_oracles import get_oracle
     from .mechanisms import get_mechanism
-    from .streams import OnlineStream
+    from .persist import DurableSession
 
     if args.max_steps is not None and args.max_steps < 1:
         raise InvalidParameterError(
@@ -504,7 +452,6 @@ def _cmd_stream(args) -> int:
         )
     if args.chunk < 1:
         raise InvalidParameterError(f"chunk must be >= 1, got {args.chunk}")
-    state, checkpoint, watermark = _prepare_state_dir(args)
     with contextlib.ExitStack() as stack:
         if args.input == "-":
             source = sys.stdin
@@ -512,105 +459,61 @@ def _cmd_stream(args) -> int:
             source = stack.enter_context(
                 open(args.input, "r", encoding="utf-8")
             )
-        session: Optional[StreamSession] = None
-        stream: Optional[OnlineStream] = None
-        if checkpoint is not None:
-            session, stream = _resume_session(
-                checkpoint,
-                expect={
+        lines = itertools.islice(
+            (_parse_snapshot_line(line) for line in source if line.strip()),
+            args.max_steps,
+        )
+        first = next(lines, None)
+        if first is None:
+            print("error: no input timestamps received", file=sys.stderr)
+            return 2
+        # The population size is whatever the first timestamp carries.
+        durable = stack.enter_context(
+            DurableSession.open(
+                args.state_dir,
+                {
                     "mechanism": get_mechanism(args.method).name,
                     "oracle": get_oracle(args.oracle).name,
                     "postprocess": args.postprocess,
-                    "epsilon": float(args.epsilon),
-                    "window": int(args.window),
-                    "domain_size": int(args.domain_size),
-                    "record_trace": bool(args.trace),
+                    "epsilon": args.epsilon,
+                    "window": args.window,
+                    "n_users": len(first),
+                    "domain_size": args.domain_size,
+                    "fast": True,
+                    "record_trace": args.trace,
+                    "seed": args.seed,
+                    "enforce_privacy": True,
                 },
                 chunk=args.chunk,
+                checkpoint_every=args.checkpoint_every,
             )
-        wal = None
-        if state is not None:
-            from .persist import Checkpoint
-
-            wal = stack.enter_context(state.open_wal())
+        )
+        session = durable.session
+        # Already ingested before the crash; the replayed feed re-sends
+        # it, exactly-once means we drop it here.
+        skip_remaining = durable.watermark
         buffer: list = []
-        skip_remaining = watermark
-        flushed_chunks = 0
 
         def flush() -> None:
-            nonlocal flushed_chunks
-            if not buffer:
-                return
-            timestamps = [stream.push(values) for values in buffer]
-            records = session.observe_many(timestamps[0], len(timestamps))
+            t0 = durable.watermark
+            rows = durable.ingest(t0, buffer)
             if args.emit == "releases":
-                for t, record in zip(timestamps, records):
-                    release = ",".join(
-                        f"{v:.6g}"
-                        for v in session.postprocessor(record.release)
-                    )
-                    print(f"{t},{record.strategy},{release}")
-            if wal is not None:
-                # Durability order: WAL commit first, checkpoint second,
-                # so the checkpoint watermark never runs ahead of the
-                # log (the StateDir resume invariant).
-                for t, record in zip(timestamps, records):
-                    wal.append(
-                        t, session.postprocessor(record.release),
-                        record.strategy,
-                    )
-                wal.commit(session.steps_observed)
-                flushed_chunks += 1
-                if flushed_chunks % args.checkpoint_every == 0:
-                    state.save_checkpoint(Checkpoint.capture(session))
+                for t, (release, _, strategy) in enumerate(rows, t0):
+                    text = ",".join(f"{v:.6g}" for v in release)
+                    print(f"{t},{strategy},{text}")
             buffer.clear()
 
-        done = False
-        for line in source:
-            if not line.strip():
-                continue
-            values = _parse_snapshot_line(line)
+        for values in itertools.chain([first], lines):
             if skip_remaining > 0:
-                # Already ingested before the crash; the replayed feed
-                # re-sends it, exactly-once means we drop it here.
                 skip_remaining -= 1
                 continue
-            if session is None:
-                # The population size is whatever the first timestamp
-                # carries; the session is created lazily around it.  The
-                # retention ring must hold a whole chunk, since chunked
-                # snapshots are pushed before they are observed.
-                stream = OnlineStream(
-                    n_users=len(values),
-                    domain_size=args.domain_size,
-                    retain=max(4, args.chunk),
-                )
-                session = StreamSession(
-                    args.method,
-                    stream,
-                    epsilon=args.epsilon,
-                    window=args.window,
-                    oracle=args.oracle,
-                    seed=args.seed,
-                    postprocess=args.postprocess,
-                    record_trace=args.trace,
-                ).start()
             buffer.append(values)
-            ingested = stream.pushed + len(buffer)
-            if args.max_steps is not None and ingested >= args.max_steps:
-                done = True
-            if len(buffer) >= args.chunk or done:
+            if len(buffer) >= args.chunk:
                 flush()
-            if done:
-                break
-        if session is None:
-            print("error: no input timestamps received", file=sys.stderr)
-            return 2
-        flush()
-        if state is not None:
-            from .persist import Checkpoint
-
-            state.save_checkpoint(Checkpoint.capture(session))
+        if buffer:
+            flush()
+        if args.state_dir is not None:
+            durable.checkpoint()
         summary = session.summary()
         print(
             f"{summary['mechanism']} online session: {summary['steps']} steps, "

@@ -204,80 +204,6 @@ class WEventAccountant:
             self.max_window_spend = max_spend
             self.total_charges += count
 
-    def charge_span(self, t0: int, length: int, epsilon: float) -> None:
-        """Charge *everyone* ``epsilon`` at ``length`` consecutive timestamps.
-
-        The contiguous-uniform special case of :meth:`charge_many` —
-        exactly ``charge_many(range(t0, t0 + length), epsilon)``: same
-        ledger state, same counters, same violation raised at the same
-        timestamp.  Contiguity lets the per-timestamp validation hoist
-        out of the loop (time ordering is implied by the span, the budget
-        is checked once), leaving only window eviction and the scalar
-        adds.
-        """
-        length = int(length)
-        if length < 0:
-            raise InvalidParameterError(
-                f"span length must be non-negative, got {length}"
-            )
-        if length == 0:
-            return
-        t0 = int(t0)
-        if (
-            not self._uniform
-            or not isinstance(epsilon, (int, float))
-            or epsilon == 0
-        ):
-            # Rare shapes (materialised ledger, budget sequences, pure
-            # clock advances) take the general bulk path unchanged.
-            self.charge_many(range(t0, t0 + length), epsilon)
-            return
-        if epsilon < 0:
-            raise InvalidParameterError(
-                f"cannot charge negative budget {epsilon}"
-            )
-        if t0 < self._current_t:
-            raise InvalidParameterError(
-                f"accountant charges must be time-ordered; got t={t0} "
-                f"after t={self._current_t}"
-            )
-        eps_t = float(epsilon)
-        window = self.window
-        spend = self._uniform_spend
-        current_t = self._current_t
-        max_spend = self.max_window_spend
-        charges = self._charges
-        limit = self.epsilon + _TOLERANCE
-        count = 0
-        try:
-            for t in range(t0, t0 + length):
-                current_t = t
-                cutoff = t - window + 1
-                evicted = False
-                while charges and charges[0][0] < cutoff:
-                    spend -= charges.popleft()[2]
-                    evicted = True
-                if evicted and spend < 0.0:
-                    spend = 0.0
-                spend += eps_t
-                charges.append((t, None, eps_t))
-                count += 1
-                if spend > max_spend:
-                    max_spend = spend
-                if self.enforce and spend > limit:
-                    raise PrivacyViolationError(
-                        f"w-event LDP violated at t={t}: a user's window "
-                        f"spend reached {spend:.6f} > epsilon="
-                        f"{self.epsilon:.6f} (w={self.window})"
-                    )
-        finally:
-            # Mirror charge_many: everything charged before a mid-span
-            # violation stays on the ledger.
-            self._uniform_spend = spend
-            self._current_t = current_t
-            self.max_window_spend = max_spend
-            self.total_charges += count
-
     def window_spend(self, user_id: int) -> float:
         """Current window spend of a single user."""
         if self._uniform:

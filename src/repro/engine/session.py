@@ -198,19 +198,11 @@ class StreamSession:
         self._started = True
         return self
 
-    def observe(
-        self,
-        t: Optional[int] = None,
-        true_frequencies: Optional[np.ndarray] = None,
-    ) -> StepRecord:
+    def observe(self, t: Optional[int] = None) -> StepRecord:
         """Ingest one timestamp and return the mechanism's step record.
 
         ``t`` defaults to the next expected timestamp; passing it
-        explicitly asserts in-order ingestion.  ``true_frequencies``
-        lets a shared-pass driver hand over the truth histogram it
-        already computed for this timestamp (it must equal
-        ``dataset.true_frequencies(t)``); otherwise the session asks the
-        dataset itself.
+        explicitly asserts in-order ingestion.
         """
         if not self._started:
             raise InvalidParameterError("call start() before observe()")
@@ -227,51 +219,17 @@ class StreamSession:
             raise InvalidParameterError(
                 f"timestamp {t} beyond session horizon {self.horizon}"
             )
-        ctx = TimestepContext(self.collector, t)
-        record = self.mechanism.step(ctx)
-        if record.t != t:
-            raise InvalidParameterError(
-                f"{self.mechanism.name} returned record for t={record.t} "
-                f"at t={t}"
-            )
-        if record.strategy == STRATEGY_PUBLISH:
-            self._publications += 1
-        if self.record_trace or self.store is not None:
-            # Postprocessing and the truth histogram only feed the trace
-            # and the query store; trace-free, store-free online sessions
-            # skip both so each step is O(1) beyond the mechanism's work.
-            release = np.asarray(
-                self.postprocessor(record.release), dtype=np.float64
-            )
-        if self.store is not None:
-            self._release_variance = next_release_variance(
-                self.oracle,
-                record.strategy,
-                record.publication_epsilon,
-                record.publication_users,
-                self.dataset.domain_size,
-                self._release_variance,
-            )
-            self.store.append(
-                t, release, self._release_variance, record.strategy
-            )
+        record = self.mechanism.step(TimestepContext(self.collector, t))
+        truth = None
         if self.record_trace:
-            if true_frequencies is None:
-                true_frequencies = self.dataset.true_frequencies(t)
-            self._releases.append(release.copy())
-            self._true_frequencies.append(
-                np.asarray(true_frequencies, dtype=np.float64).copy()
-            )
-            self._records.append(record)
-        self._next_t = t + 1
+            truth = np.asarray(
+                self.dataset.true_frequencies(t), dtype=np.float64
+            )[None]
+        self._absorb_records(t, 1, truth, [record])
         return record
 
     def observe_many(
-        self,
-        t0: Optional[int] = None,
-        n: Optional[int] = None,
-        *,
-        true_frequencies: Optional[np.ndarray] = None,
+        self, t0: Optional[int] = None, n: Optional[int] = None
     ) -> list:
         """Ingest ``n`` consecutive timestamps starting at ``t0``.
 
@@ -298,10 +256,7 @@ class StreamSession:
         horizon; a chunk reaching beyond the horizon is clamped to it,
         so callers may loop ``observe_many(n=chunk)`` without sizing the
         final partial chunk — but ingesting *at* the horizon raises,
-        exactly like :meth:`observe`.  ``true_frequencies`` optionally
-        hands over the ``(n, d)`` truth block a shared-pass driver
-        already computed (row ``i`` must equal
-        ``dataset.true_frequencies(t0 + i)``).
+        exactly like :meth:`observe`.
 
         Returns the list of per-timestamp
         :class:`~repro.engine.records.StepRecord`\\ s.
@@ -342,15 +297,7 @@ class StreamSession:
             n = min(n, limit - t0)
         if n == 0:
             return []
-        truth: Optional[np.ndarray] = None
-        if true_frequencies is not None:
-            truth = np.asarray(true_frequencies, dtype=np.float64)
-            if truth.shape != (n, self.dataset.domain_size):
-                raise InvalidParameterError(
-                    f"true_frequencies must have shape "
-                    f"({n}, {self.dataset.domain_size}), got {truth.shape}"
-                )
-        return self._ingest_chunk(ChunkContext(self.collector, t0, n), truth)
+        return self._ingest_chunk(ChunkContext(self.collector, t0, n), None)
 
     def _ingest_chunk(
         self, ctx: ChunkContext, truth: Optional[np.ndarray]
@@ -415,10 +362,12 @@ class StreamSession:
     ) -> None:
         """Post-process, store and trace a chunk's step records.
 
-        Shared absorb tail of every bulk path — the in-session chunk
-        drive and the SoA scheduler's prepared drive — so publication
-        counting, post-processing, variance propagation and trace
-        bookkeeping stay byte-identical across them.
+        Shared absorb tail of every ingest path — :meth:`observe`, the
+        in-session chunk drive and the SoA scheduler's prepared drive —
+        so publication counting, post-processing, variance propagation
+        and trace bookkeeping stay byte-identical across them.
+        Postprocessing only feeds the trace and the query store;
+        trace-free, store-free online sessions skip it.
         """
         if len(records) != n:
             raise InvalidParameterError(

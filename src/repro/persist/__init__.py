@@ -1,7 +1,8 @@
 """Durable sessions: checkpoint/restore and write-ahead release logs.
 
 A production stream server must survive restarts.  This package is the
-durability layer under ``repro serve --state-dir`` and the programmatic
+durability layer under ``repro stream --state-dir``, ``repro serve
+--state-dir`` and the programmatic
 :meth:`repro.engine.session.StreamSession.snapshot` /
 :meth:`~repro.engine.session.StreamSession.restore` API:
 
@@ -15,8 +16,10 @@ durability layer under ``repro serve --state-dir`` and the programmatic
   released estimates with per-chunk commit markers and fsync, so
   releases survive a crash at finer granularity than checkpoints;
 * :mod:`repro.persist.statedir` — the on-disk layout
-  (``checkpoint.json`` + ``releases.wal``) the CLI resumes from, with
-  the exactly-once truncation rule applied on every restore.
+  (``checkpoint.json`` + ``releases.wal``) with the exactly-once
+  truncation rule applied on every restore, and
+  :class:`~repro.persist.statedir.DurableSession`, the one durable
+  online session ``repro stream`` and each serve shard run through.
 
 The exactly-once contract and the crash-injection harness that proves it
 (``tools/crashtest.py``, ``tests/persist/``) are documented in
@@ -31,7 +34,7 @@ from .checkpoint import (
     restore_group,
     restore_session,
 )
-from .statedir import StateDir
+from .statedir import DurableSession, StateDir
 from .wal import ReleaseWAL, replay_wal, truncate_wal
 
 __all__ = [
@@ -45,4 +48,5 @@ __all__ = [
     "replay_wal",
     "truncate_wal",
     "StateDir",
+    "DurableSession",
 ]

@@ -27,8 +27,6 @@ misinterpreting bytes.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -40,7 +38,7 @@ from ..query.store import ReleaseStore
 from ..rng import capture_rng_state, restore_rng_state
 from ..streams.base import GenerativeStream, StreamDataset
 from ..streams.online import OnlineStream
-from .codec import decode, encode
+from .codec import decode, encode, write_atomic
 
 PathLike = Union[str, Path]
 
@@ -419,23 +417,7 @@ class Checkpoint:
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> None:
         """Atomically write the payload (temp file + fsync + rename)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name, suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(self.payload))
 
     @classmethod
     def load(cls, path: PathLike) -> "Checkpoint":

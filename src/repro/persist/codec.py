@@ -16,11 +16,19 @@ JSON-safe form; :func:`decode` is its exact inverse.  Everything else —
 ints (arbitrary precision), floats (including NaN/inf, which Python's
 ``json`` reads back), strings, booleans, ``None`` — passes through
 untouched.
+
+:func:`write_atomic` is the one way a persisted file is replaced
+(checkpoints, the truncated WAL, the serve front's ``front.json``): a
+temp file in the same directory, fsync, then rename, so a crash
+mid-write leaves the previous version intact.
 """
 
 from __future__ import annotations
 
 import base64
+import os
+import tempfile
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -99,3 +107,24 @@ def _decode_array(payload: dict) -> np.ndarray:
         raise CheckpointError(
             f"corrupt array payload in checkpoint: {error}"
         ) from error
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (temp file + fsync + rename)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=path.name, suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise

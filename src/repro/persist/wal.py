@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import WALError
+from .codec import write_atomic
 
 PathLike = Union[str, Path]
 
@@ -198,27 +198,10 @@ def truncate_wal(path: PathLike, watermark: int) -> int:
     rewrite is atomic (temp file + rename) and ends with a commit marker
     at ``watermark``.
     """
-    path = Path(path)
     rows, _ = replay_wal(path)
     kept = [row for row in rows if row["t"] < watermark]
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name, suffix=".tmp", dir=path.parent
+    commit = {"op": _OP_COMMIT, "watermark": int(watermark)}
+    write_atomic(
+        path, "".join(json.dumps(row) + "\n" for row in [*kept, commit])
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for row in kept:
-                handle.write(json.dumps(row) + "\n")
-            handle.write(
-                json.dumps({"op": _OP_COMMIT, "watermark": int(watermark)})
-                + "\n"
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
     return len(kept)

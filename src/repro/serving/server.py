@@ -55,9 +55,7 @@ import asyncio
 import base64
 import json
 import multiprocessing
-import os
 import sys
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -76,7 +74,13 @@ from ..query.dsl import QUERY_OPS, parse_expr, query_from_request
 from ..query.engine import QueryEngine
 from ..query.planner import QueryPlanner
 from ..query.standing import StandingRegistry
-from ..persist.statedir import CHECKPOINT_FILE, WAL_FILE
+from ..persist.codec import decode, encode, write_atomic
+from ..persist.statedir import (
+    CHECKPOINT_FILE,
+    WAL_FILE,
+    check_checkpoint_every,
+    check_config,
+)
 from ..query.store import ReleaseStore, merge_release_rows
 from ..streams.online import snapshot_from_json
 from .router import ShardRouter, shard_seed
@@ -93,21 +97,13 @@ def shard_state_dir(state_dir, shard: int) -> Path:
     """Shard ``shard``'s own state directory inside a tier's ``state_dir``."""
     return Path(state_dir) / f"shard-{shard:02d}"
 
-#: Front-checkpoint config keys a resume must match exactly.  A
-#: ``num_shards`` mismatch is the reshard-refusal path: the hash
-#: partition changes with the shard count, so no shard's session state
-#: describes the users it would now own.
-_CONFIG_KEYS = (
-    "mechanism",
-    "oracle",
-    "postprocess",
-    "epsilon",
-    "window",
-    "n_users",
-    "domain_size",
-    "num_shards",
-    "capacity",
-    "fast",
+#: Appended to a ``num_shards`` mismatch: the hash partition changes
+#: with the shard count, so no shard's session state describes the users
+#: it would now own.
+_RESHARD_HINT = (
+    "resharding a durable serving tier is not supported: the user "
+    "partition is a function of the shard count, so per-shard session "
+    "state cannot be reused"
 )
 
 
@@ -187,19 +183,13 @@ class ServeConfig:
             raise InvalidParameterError(
                 f"confidence must be in (0, 1), got {self.confidence}"
             )
-        if self.checkpoint_every < 1:
-            raise InvalidParameterError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-
-    @property
-    def retain(self) -> int:
-        """Stream retention ring: must hold a whole pushed-but-unobserved
-        chunk."""
-        return max(4, self.chunk)
+        check_checkpoint_every(self.checkpoint_every)
 
     def recorded(self) -> dict:
-        """The config keys persisted in (and validated against) front.json."""
+        """The config keys persisted in (and validated against) front.json.
+
+        A ``num_shards`` mismatch on resume is the reshard refusal.
+        """
         return {
             "mechanism": self.mechanism,
             "oracle": self.oracle,
@@ -345,10 +335,11 @@ class ShardServer:
                 "n_users": int(self.router.counts[s]),
                 "domain_size": config.domain_size,
                 "capacity": config.capacity,
-                "retain": config.retain,
+                "chunk": config.chunk,
                 "seed": shard_seed(config.seed, s, config.num_shards),
                 "enforce_privacy": config.enforce_privacy,
                 "fast": config.fast,
+                "record_trace": False,
                 "state_dir": (
                     None
                     if self.state_root is None
@@ -442,8 +433,6 @@ class ShardServer:
         path = self.state_root / FRONT_FILE
         if not path.exists():
             return
-        from ..persist.codec import decode
-
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -463,29 +452,14 @@ class ShardServer:
                 f"{FRONT_VERSION})"
             )
         recorded = payload.get("config")
-        if not isinstance(recorded, dict):
-            raise CheckpointError(f"{path} has no 'config' section")
-        if self.config.n_users is None:
+        if self.config.n_users is None and isinstance(recorded, dict):
             self.config.n_users = recorded.get("n_users")
-        expect = self.config.recorded()
-        mismatches = [
-            f"{key} is {recorded.get(key)!r} in the checkpoint but "
-            f"{expect[key]!r} now"
-            for key in _CONFIG_KEYS
-            if recorded.get(key) != expect[key]
-        ]
-        if mismatches:
-            hint = ""
-            if recorded.get("num_shards") != expect["num_shards"]:
-                hint = (
-                    " (resharding a durable serving tier is not supported: "
-                    "the user partition is a function of the shard count, "
-                    "so per-shard session state cannot be reused)"
-                )
-            raise CheckpointError(
-                "state dir front checkpoint disagrees with the serve "
-                "configuration: " + "; ".join(mismatches) + hint
-            )
+        check_config(
+            str(path),
+            recorded,
+            self.config.recorded(),
+            hints={"num_shards": _RESHARD_HINT},
+        )
         try:
             self.merged = ReleaseStore.from_state(decode(payload["store"]))
         except (KeyError, TypeError, ValueError) as error:
@@ -512,8 +486,6 @@ class ShardServer:
         front watermark never exceeds any shard's — the invariant the
         resume path's gap rebuild relies on.
         """
-        from ..persist.codec import encode
-
         payload = {
             "format": _FRONT_FORMAT,
             "version": FRONT_VERSION,
@@ -521,22 +493,7 @@ class ShardServer:
             "watermark": self.watermark,
             "store": encode(self.merged.state_dict()),
         }
-        path = self.state_root / FRONT_FILE
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name, suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.state_root / FRONT_FILE, json.dumps(payload))
 
     # ------------------------------------------------------------------
     # Ingest path

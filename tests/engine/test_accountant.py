@@ -279,61 +279,6 @@ class TestUniformFastPathAndChargeMany:
         assert acc.total_charges == 0
 
 
-class TestChargeSpan:
-    """The SoA span kernel must mirror charge_many on every observable."""
-
-    def _mirror(self, n_users=12, epsilon=1.0, window=4, enforce=True):
-        return (
-            WEventAccountant(n_users, epsilon, window, enforce),
-            WEventAccountant(n_users, epsilon, window, enforce),
-        )
-
-    def test_span_equals_charge_many(self):
-        span, many = self._mirror(window=3)
-        span.charge_span(0, 20, 0.3)
-        many.charge_many(range(20), 0.3)
-        assert span.max_window_spend == many.max_window_spend
-        assert span.total_charges == many.total_charges
-        assert span.window_spend(0) == many.window_spend(0)
-        assert np.array_equal(span.spend_snapshot(), many.spend_snapshot())
-
-    def test_span_violation_matches_charge_many(self):
-        span, many = self._mirror(window=5)
-        with pytest.raises(PrivacyViolationError):
-            span.charge_span(0, 8, 0.3)
-        with pytest.raises(PrivacyViolationError):
-            many.charge_many(range(8), 0.3)
-        assert span.max_window_spend == many.max_window_spend
-        assert span.total_charges == many.total_charges
-
-    def test_span_time_order_enforced(self):
-        acc = WEventAccountant(n_users=5, epsilon=1.0, window=4)
-        acc.charge_span(0, 3, 0.1)
-        with pytest.raises(InvalidParameterError):
-            acc.charge_span(1, 2, 0.1)
-
-    def test_span_after_group_charge_delegates(self):
-        # A per-user charge de-uniformizes the ledger; the span must
-        # fall back to the array path and still agree with charge_many.
-        span, many = self._mirror(n_users=6, epsilon=2.0)
-        for acc in (span, many):
-            acc.charge(0, np.array([1, 3]), 0.5)
-        span.charge_span(1, 4, 0.25)
-        many.charge_many([1, 2, 3, 4], 0.25)
-        assert np.array_equal(span.spend_snapshot(), many.spend_snapshot())
-        assert span.max_window_spend == many.max_window_spend
-
-    def test_empty_span_is_noop(self):
-        acc = WEventAccountant(n_users=4, epsilon=1.0, window=2)
-        acc.charge_span(0, 0, 0.5)
-        assert acc.total_charges == 0
-
-    def test_span_rejects_negative_budget(self):
-        acc = WEventAccountant(n_users=5, epsilon=1.0, window=4)
-        with pytest.raises(InvalidParameterError):
-            acc.charge_span(0, 2, -0.1)
-
-
 class TestLedgerRestore:
     """state_dict/load_state round trips: the satellite gap — a restored
     ledger must make the *same* future decisions as the live one, in

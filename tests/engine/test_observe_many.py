@@ -233,11 +233,6 @@ class TestEdges:
         with pytest.raises(InvalidParameterError):
             session.observe_many()
 
-    def test_truth_block_shape_checked(self):
-        session = StreamSession("LBU", _dataset(), 1.0, WINDOW, seed=0).start()
-        with pytest.raises(InvalidParameterError):
-            session.observe_many(0, 5, true_frequencies=np.zeros((4, 6)))
-
 
 class TestSessionGroupChunked:
     def test_group_matches_solo_with_mixed_horizons(self):

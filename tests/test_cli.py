@@ -221,6 +221,57 @@ class TestStream:
         assert "integer values" in capsys.readouterr().err
 
 
+class TestStreamDurable:
+    """`repro stream --state-dir`: lines print once durable, and a
+    resumed run keeps the feed's --max-steps cap."""
+
+    @staticmethod
+    def _args(state, extra=()):
+        return [
+            "stream", "--method", "LBD", "--domain-size", "3",
+            "--state-dir", str(state), *extra,
+        ]
+
+    def test_lines_print_only_after_their_wal_commit(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.persist import ReleaseWAL
+
+        commit = ReleaseWAL.commit
+        calls = []
+
+        def failing_commit(wal, watermark):
+            calls.append(watermark)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            commit(wal, watermark)
+
+        monkeypatch.setattr(ReleaseWAL, "commit", failing_commit)
+        TestStream._feed(monkeypatch, TestStream._snapshot_lines())
+        with pytest.raises(OSError, match="disk full"):
+            main(self._args(tmp_path / "state", ("--chunk", "2")))
+        out = capsys.readouterr().out
+        assert [line.split(",")[0] for line in out.split()] == ["0", "1"]
+
+    def test_rerun_of_completed_run_keeps_max_steps(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.persist import replay_wal
+        from repro.persist.statedir import WAL_FILE
+
+        state = tmp_path / "state"
+        lines = TestStream._snapshot_lines(n_lines=12)
+        for _ in range(2):
+            TestStream._feed(monkeypatch, lines)
+            assert main(self._args(state, ("--max-steps", "5"))) == 0
+            captured = capsys.readouterr()
+            assert "online session: 5 steps" in captured.err
+        assert captured.out == ""
+        rows, watermark = replay_wal(state / WAL_FILE)
+        assert watermark == 5
+        assert [row["t"] for row in rows] == list(range(5))
+
+
 class TestServe:
     @staticmethod
     def _feed(monkeypatch, requests):
