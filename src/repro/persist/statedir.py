@@ -80,18 +80,29 @@ class StateDir:
         return replay_wal(self.wal_path)
 
     # ------------------------------------------------------------------
-    def prepare_resume(self) -> Tuple[Optional[Checkpoint], int]:
+    def prepare_resume(
+        self, expect: Optional[dict] = None
+    ) -> Tuple[Optional[Checkpoint], int]:
         """Make the directory consistent for resumption.
 
-        Loads the checkpoint (``None`` on a fresh directory), validates
-        the WAL's committed prefix, and truncates the WAL back to the
-        checkpoint's watermark — the rows cut here are regenerated
-        bit-identically by the resumed session, which is what makes
-        ingestion exactly-once across crashes.  Returns
-        ``(checkpoint, watermark)`` where ``watermark`` is the number of
-        timestamps the resumed session has already ingested.
+        Loads the checkpoint (``None`` on a fresh directory), checks its
+        recorded config against ``expect`` when given
+        (:func:`check_config`), validates the WAL's committed prefix,
+        and truncates the WAL back to the checkpoint's watermark — the
+        rows cut here are regenerated bit-identically by the resumed
+        session, which is what makes ingestion exactly-once across
+        crashes.  Every refusal comes before the truncation, so a
+        refused resume leaves the directory's bytes as they were.
+        Returns ``(checkpoint, watermark)`` where ``watermark`` is the
+        number of timestamps the resumed session has already ingested.
         """
         checkpoint = self.load_checkpoint()
+        if checkpoint is not None and expect is not None:
+            check_config(
+                str(self.checkpoint_path),
+                checkpoint.payload.get("config"),
+                expect,
+            )
         watermark = 0 if checkpoint is None else checkpoint.watermark
         _, wal_mark = replay_wal(self.wal_path)  # validates the prefix
         if wal_mark < watermark:
@@ -209,7 +220,9 @@ class DurableSession:
             if checkpoint_every is not None:
                 check_checkpoint_every(checkpoint_every)
             state = StateDir(state_dir)
-            checkpoint, _ = state.prepare_resume()
+            checkpoint, _ = state.prepare_resume(
+                {key: config[key] for key in RESUME_KEYS}
+            )
         if checkpoint is None:
             session = StreamSession(
                 config["mechanism"],
@@ -225,11 +238,6 @@ class DurableSession:
                 fast=config["fast"],
             ).start()
         else:
-            check_config(
-                str(state.checkpoint_path),
-                checkpoint.payload.get("config"),
-                {key: config[key] for key in RESUME_KEYS},
-            )
             session = checkpoint.restore(stream)
         return cls(session, stream, state, checkpoint_every)
 

@@ -74,7 +74,7 @@ class ReleaseWAL:
             "op": _OP_RELEASE,
             "t": int(t),
             "strategy": str(strategy),
-            "release": [float(v) for v in np.asarray(release).ravel()],
+            "release": np.asarray(release, dtype=np.float64).ravel().tolist(),
         }
         if variance is not None:
             row["variance"] = float(variance)

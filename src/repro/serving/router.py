@@ -65,16 +65,13 @@ class ShardRouter:
             )
         self.n_users = n_users
         self.num_shards = num_shards
-        if num_shards == 1:
-            assignment = np.zeros(n_users, dtype=np.int64)
-        else:
-            assignment = (
-                splitmix64(np.arange(n_users, dtype=np.uint64))
-                % np.uint64(num_shards)
-            ).astype(np.int64)
-        self.assignment = assignment
+        # Modulo 1 every hash is 0: one shard owns every user in order.
+        self.assignment = (
+            splitmix64(np.arange(n_users, dtype=np.uint64))
+            % np.uint64(num_shards)
+        )
         self.members: List[np.ndarray] = [
-            np.flatnonzero(assignment == s) for s in range(num_shards)
+            np.flatnonzero(self.assignment == s) for s in range(num_shards)
         ]
         self.counts = np.array([m.size for m in self.members], dtype=np.int64)
         if int(self.counts.min()) == 0:
@@ -107,11 +104,18 @@ class ShardRouter:
         return [values[m] for m in self.members]
 
     def split_block(self, block: np.ndarray) -> List[np.ndarray]:
-        """An ``(m, n_users)`` snapshot block -> per-shard ``(m, n_s)``."""
+        """An ``(m, n_users)`` snapshot block -> per-shard ``(m, n_s)``.
+
+        Each part keeps the block's dtype.  With one shard the part is
+        ``block`` itself, not a copy: the identity layout needs no
+        gather.
+        """
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != self.n_users:
             raise InvalidParameterError(
                 f"snapshot block must have shape (m, {self.n_users}), got "
                 f"{block.shape}"
             )
+        if self.num_shards == 1:
+            return [block]
         return [block[:, m] for m in self.members]

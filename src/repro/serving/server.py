@@ -499,7 +499,14 @@ class ShardServer:
     # Ingest path
     # ------------------------------------------------------------------
     def _parse_ingest(self, request: dict) -> np.ndarray:
-        """One ingest request -> validated ``(n_users,)`` int64 snapshot."""
+        """One ingest request -> validated ``(n_users,)`` snapshot.
+
+        The snapshot keeps its wire dtype: a b64 payload stays a
+        read-only ``uint8``/``uint16``/``uint32`` view of the decoded
+        bytes, JSON ``values`` are int64.  It is widened once, when the
+        shard's :class:`~repro.streams.online.OnlineStream` copies it
+        into its int64 ring.
+        """
         if "b64" in request:
             dtype_tag = request.get("dtype", "u1")
             if dtype_tag not in _B64_DTYPES:
@@ -508,9 +515,7 @@ class ShardServer:
                     f"got {dtype_tag!r}"
                 )
             raw = base64.b64decode(request["b64"], validate=True)
-            values = np.frombuffer(
-                raw, dtype=_B64_DTYPES[dtype_tag]
-            ).astype(np.int64)
+            values = np.frombuffer(raw, dtype=_B64_DTYPES[dtype_tag])
         else:
             values = snapshot_from_json(request["values"])
         n_users = self.config.n_users
@@ -520,7 +525,7 @@ class ShardServer:
                 f"got {values.shape[0] if values.ndim == 1 else values.shape}"
             )
         if values.size and (
-            int(values.min()) < 0
+            (values.dtype.kind == "i" and int(values.min()) < 0)
             or int(values.max()) >= self.config.domain_size
         ):
             raise InvalidParameterError(

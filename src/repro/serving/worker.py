@@ -26,6 +26,12 @@ front sends                     worker replies
 ``("stop",)``                   ``("bye",)``
 ==============================  =======================================
 
+An ingest ``block`` is ``(m, n_s)`` in the snapshots' wire dtype
+(``uint8``/``uint16``/``uint32`` from b64 ingests, int64 from JSON
+``values``, upcast by the front's ``np.stack`` when a batch mixes them),
+so the pipe carries narrow bytes; ``OnlineStream.push`` widens each row
+once, into the stream's int64 ring.
+
 Any failure replies ``("error", message)`` and ends the process: a shard
 that threw mid-ingest may be desynchronized from its stream, and the
 merged population store cannot advance without it, so the front

@@ -113,6 +113,24 @@ def test_resume_under_another_config_names_every_key(tmp_path):
     assert "window is 4 in the checkpoint but 5 now" in message
 
 
+def test_refused_resume_leaves_the_state_dir_untouched(tmp_path):
+    """The config check runs before the WAL is truncated: a refused
+    reopen keeps every committed row, byte for byte."""
+    state = tmp_path / "state"
+    with _open(state) as durable:
+        # Three commits, a checkpoint after the second: WAL watermark 9,
+        # checkpoint watermark 6.
+        _ingest(durable, _blocks(3))
+    assert replay_wal(state / WAL_FILE)[1] == 9
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    with pytest.raises(CheckpointError, match="epsilon"):
+        _open(state, epsilon=2.0)
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+    with _open(state) as durable:
+        assert durable.watermark == 6
+    assert replay_wal(state / WAL_FILE)[1] == 6
+
+
 def test_invalid_checkpoint_cadence_is_refused(tmp_path):
     with pytest.raises(InvalidParameterError, match="checkpoint_every"):
         DurableSession.open(

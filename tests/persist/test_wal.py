@@ -9,6 +9,7 @@ truncating the WAL to the checkpoint watermark.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, WALError
@@ -38,6 +39,30 @@ class TestCommitReplay:
         assert rows[0]["release"] == [0.5, 0.5]
         assert rows[0]["variance"] == 0.01
         assert "variance" not in rows[1]
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_release_row_text_is_pinned(self, tmp_path, as_list):
+        """Edge floats encode exactly as the per-element ``float(v)``
+        form did, so the log's bytes do not depend on how the row was
+        converted."""
+        values = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 1 / 3]
+        release = values if as_list else np.array(values).reshape(1, -1)
+        path = _wal(tmp_path)
+        with ReleaseWAL(path) as wal:
+            wal.append(0, release, "publish")
+            wal.commit(1)
+        old_form = {
+            "op": "release",
+            "t": 0,
+            "strategy": "publish",
+            "release": [float(v) for v in np.asarray(release).ravel()],
+        }
+        row = path.read_text().splitlines()[0]
+        assert row == json.dumps(old_form)
+        assert row.endswith(
+            '"release": [-0.0, 5e-324, 1e+308, NaN, Infinity, '
+            '-Infinity, 0.3333333333333333]}'
+        )
 
     def test_commits_accumulate(self, tmp_path):
         path = _wal(tmp_path)

@@ -91,6 +91,25 @@ class TestSplit:
             for i in range(5):
                 assert np.array_equal(parts[s][i], router.split(block[i])[s])
 
+    def test_split_block_with_one_shard_is_the_block_itself(self):
+        """K=1 hands the flush block through without a copy, in its
+        wire dtype."""
+        block = np.arange(30, dtype=np.uint8).reshape(3, 10)
+        (part,) = ShardRouter(10, 1).split_block(block)
+        assert part is block
+        assert np.shares_memory(part, block)
+
+    def test_split_block_with_two_shards_gathers_copies(self):
+        """K=2 is unchanged: each part is a column gather of the block,
+        a fresh array in the block's dtype."""
+        router = ShardRouter(10, 2)
+        block = np.arange(30, dtype=np.uint16).reshape(3, 10)
+        parts = router.split_block(block)
+        for part, members in zip(parts, router.members):
+            assert part.dtype == np.uint16
+            assert np.array_equal(part, block[:, members])
+            assert not np.shares_memory(part, block)
+
     def test_split_rejects_wrong_shape(self):
         router = ShardRouter(8, 2)
         with pytest.raises(InvalidParameterError):

@@ -17,7 +17,9 @@ enforces the two-tier contract of ``docs/SERVING.md``:
 4. **Server exactness** (``--mode server`` / ``both``) — a live
    ``repro serve --shards K`` subprocess, fed the same stream over its
    socket, answers every ingest ack and every point/topk/range/sliding/
-   summary query bit-identically to the serial reference session.
+   summary query bit-identically to the serial reference session.  The
+   feed cycles JSON ``values``, b64 ``u1`` and b64 ``u2`` lines (those
+   that fit the domain), so the packed wire forms face the same check.
 
 Writes a JSON report and exits non-zero on any violation::
 
@@ -28,6 +30,7 @@ Writes a JSON report and exits non-zero on any violation::
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
 import signal
@@ -231,6 +234,30 @@ def _queries(args) -> List[dict]:
     return requests
 
 
+#: The packed ingest encodings the live feed cycles through.
+_PACKED = {"u1": np.uint8, "u2": np.uint16}
+
+
+def _wire_tags(domain_size: int) -> List[str]:
+    """The ingest encodings that can carry every value of the domain."""
+    return ["values"] + [
+        tag
+        for tag, dtype in _PACKED.items()
+        if domain_size - 1 <= np.iinfo(dtype).max
+    ]
+
+
+def _ingest_request(row: np.ndarray, tag: str) -> dict:
+    if tag == "values":
+        return {"op": "ingest", "values": row.tolist()}
+    packed = row.astype(_PACKED[tag]).tobytes()
+    return {
+        "op": "ingest",
+        "b64": base64.b64encode(packed).decode("ascii"),
+        "dtype": tag,
+    }
+
+
 def _serial_answer(serial: ShardedSession, request: dict) -> dict:
     engine = serial.engine
     op = request["op"]
@@ -286,6 +313,7 @@ def check_server(args, block, k: int) -> dict:
         env=env,
     )
     mismatches: List[dict] = []
+    tags = _wire_tags(args.domain_size)
     try:
         hello = json.loads(proc.stdout.readline() or "{}")
         if hello.get("event") != "listening":
@@ -295,9 +323,8 @@ def check_server(args, block, k: int) -> dict:
         client = _Client(int(hello["port"]))
         try:
             for t in range(args.steps):
-                ack = client.ask(
-                    {"op": "ingest", "values": block[t].tolist()}
-                )
+                tag = tags[t % len(tags)]
+                ack = client.ask(_ingest_request(block[t], tag))
                 want = serial.merged.strategy_at(t)
                 if ack.get("t") != t or ack.get("strategy") != want:
                     mismatches.append(
@@ -324,6 +351,7 @@ def check_server(args, block, k: int) -> dict:
         "shards": k,
         "steps": args.steps,
         "queries": args.steps + len(_queries(args)),
+        "encodings": tags,
         "mismatches": mismatches,
         "ok": not mismatches,
     }
