@@ -36,7 +36,7 @@ def _values(row):
 
 def _packed(row, tag):
     dtype = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}[tag]
-    payload = np.asarray(row).astype(dtype).tobytes()
+    payload = row.astype(dtype).tobytes()
     return _raw(payload, tag)
 
 
