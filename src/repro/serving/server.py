@@ -32,6 +32,19 @@ rows are acknowledged per line.  Batch boundaries provably cannot change
 any result (``observe_many`` is chunk-invariant and the merge is per
 timestamp), so dynamic batching is pure throughput.
 
+**One flush in flight.**  The front sends each worker command from the
+event-loop thread and reads its reply on the loop
+(``loop.add_reader`` on the pipe), so the socket transport parses and
+stacks the next batch while the previous one is in the workers.  At
+most one flush is in flight: a full batch first waits for the previous
+flush's merge and acks, and the idle dispatcher waits on whichever comes
+first, the next line or the in-flight replies, so no ack waits for
+another line to arrive.  Every other op, error line and checkpoint is a
+barrier: it lands the in-flight flush and flushes the buffer before it
+answers, so answers still see exactly the ingests acked before them.
+The stdin transport lands each flush before it reads its next line (a
+stdin client may wait for its acks before writing more).
+
 **Durability.**  With ``state_dir`` every shard keeps its own WAL +
 checkpoints under ``<dir>/shard-XX/`` (:func:`shard_state_dir`) and
 commits its WAL before replying, so every ack follows its durable
@@ -57,7 +70,6 @@ import json
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -91,6 +103,45 @@ _FRONT_FORMAT = "repro-front"
 FRONT_VERSION = 1
 
 _B64_DTYPES = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
+
+#: Bytes of a socket request line beyond its ingest payload: the JSON
+#: envelope, and room for every other op (asyncio's default line limit).
+_LINE_SLACK = 64 * 1024
+#: The population the socket's line limit assumes while N is unknown at
+#: listen time (no ``--n-users``, no resumed ``front.json``).
+LINE_LIMIT_USERS = 1 << 20
+
+
+def line_limit(n_users: Optional[int], domain_size: int) -> int:
+    """Longest request line the socket transport reads, in bytes.
+
+    The longest valid request is an ingest of N snapshot values: as JSON
+    ``values`` with ``json.dumps`` separators (the digits of ``d - 1``
+    plus ``", "`` per user) or as a b64 ``u4`` snapshot (16/3 bytes per
+    user).  ``n_users=None`` takes N as :data:`LINE_LIMIT_USERS`.  A
+    longer line is answered with an error line and skipped.
+    """
+    n = LINE_LIMIT_USERS if n_users is None else n_users
+    per_user = max(len(str(domain_size - 1)) + 2, 6)
+    return _LINE_SLACK + n * per_user
+
+
+async def _read_line(reader) -> Optional[bytes]:
+    """The next line from ``reader`` (``b""`` at EOF), or ``None`` for a
+    line over the reader's limit, which is read and dropped through its
+    newline so the connection can go on."""
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial  # EOF: a last line without its newline
+        except asyncio.LimitOverrunError as error:
+            # Drop what the limit covers and look on for the newline.
+            await reader.readexactly(error.consumed)
+            overlong = True
+            continue
+        return None if overlong else line
 
 
 def shard_state_dir(state_dir, shard: int) -> Path:
@@ -212,22 +263,47 @@ class _WorkerHandle:
         self.runner = runner
         self.conn = conn
 
-    def call(self, *message):
-        """Send one command, block for its reply (run in an executor)."""
+    def request(self, *message) -> asyncio.Future:
+        """Send one command from the event-loop thread.
+
+        The returned future resolves with the worker's reply, read on the
+        loop once the pipe turns readable; a dead worker or an
+        ``("error", …)`` reply resolves it to
+        :class:`~repro.exceptions.ServingError`.
+        """
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        died = ServingError(
+            f"shard {self.index} worker died mid-command ({message[0]!r})"
+        )
         try:
             self.conn.send(message)
-            reply = self.conn.recv()
-        except (EOFError, OSError) as error:
-            raise ServingError(
-                f"shard {self.index} worker died mid-command "
-                f"({message[0]!r})"
-            ) from error
-        if reply[0] == "error":
-            raise ServingError(
-                f"shard {self.index} failed on {message[0]!r} and is no "
-                f"longer consistent with the tier: {reply[1]}"
-            )
-        return reply
+        except OSError:
+            future.set_exception(died)
+            return future
+        fd = self.conn.fileno()
+
+        def on_reply() -> None:
+            loop.remove_reader(fd)
+            if future.cancelled():
+                return
+            try:
+                reply = self.conn.recv()
+            except (EOFError, OSError):
+                future.set_exception(died)
+                return
+            if reply[0] == "error":
+                future.set_exception(
+                    ServingError(
+                        f"shard {self.index} failed on {message[0]!r} and "
+                        f"is no longer consistent with the tier: {reply[1]}"
+                    )
+                )
+            else:
+                future.set_result(reply)
+
+        loop.add_reader(fd, on_reply)
+        return future
 
 
 class _LineWriter:
@@ -266,12 +342,11 @@ class ShardServer:
         self.state_root = (
             None if config.state_dir is None else Path(config.state_dir)
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=config.num_shards,
-            thread_name_prefix="shard-io",
-        )
         self._buffer: list = []
+        self._inflight: Optional[asyncio.Task] = None
         self._queue: Optional[asyncio.Queue] = None
+        self._clients: set = set()
+        self._line_limit = 0
         self._flushed_chunks = 0
         self._skip_remaining = 0
         self._started = False
@@ -549,28 +624,25 @@ class ShardServer:
         m = block.shape[0]
         t0 = self.watermark
         parts = self.router.split_block(block)
-        loop = asyncio.get_running_loop()
-        futures = {}
+        starts: Dict[int, int] = {}
+        futures = []
         for s, handle in enumerate(self.workers):
             # Per-shard skip: a shard resumed ahead of the merged store
             # already ingested the first rows of this batch; it receives
             # only the suffix it has not seen.
             start_i = max(0, self.worker_next[s] - t0)
             if start_i < m:
-                futures[s] = (
-                    start_i,
-                    loop.run_in_executor(
-                        self._pool,
-                        handle.call,
-                        "ingest",
-                        t0 + start_i,
-                        parts[s][start_i:],
-                    ),
+                starts[s] = start_i
+                futures.append(
+                    handle.request(
+                        "ingest", t0 + start_i, parts[s][start_i:]
+                    )
                 )
-        results: Dict[int, tuple] = {}
-        for s, (start_i, future) in futures.items():
-            reply = await future
-            results[s] = (start_i, reply[1])
+        replies = await asyncio.gather(*futures)
+        results = {
+            s: (start_i, reply[1])
+            for (s, start_i), reply in zip(starts.items(), replies)
+        }
         acks = []
         for i in range(m):
             t = t0 + i
@@ -597,6 +669,26 @@ class ShardServer:
             if standing.context is not None:
                 await self._send(standing.context, event)
 
+    async def _launch(self) -> None:
+        """Put the buffered batch in flight and go back to parsing.
+
+        The batch runs through :meth:`_flush` as a task; one yield lets
+        it take the buffer and send its worker commands first.
+        """
+        self._inflight = asyncio.ensure_future(self._flush())
+        await asyncio.sleep(0)
+
+    async def _settle(self) -> None:
+        """Wait for the in-flight flush: its merge, acks and alerts."""
+        flight, self._inflight = self._inflight, None
+        if flight is not None:
+            await flight
+
+    async def _barrier(self) -> None:
+        """Land every ingest received so far, in flight or buffered."""
+        await self._settle()
+        await self._flush()
+
     async def _checkpoint(self) -> None:
         """Coordinated checkpoint: all shards first, front.json last."""
         if self.state_root is None:
@@ -605,12 +697,8 @@ class ShardServer:
             )
         if self.router is None:
             return  # no shards yet: nothing ingested, nothing to persist
-        loop = asyncio.get_running_loop()
         await asyncio.gather(
-            *(
-                loop.run_in_executor(self._pool, handle.call, "checkpoint")
-                for handle in self.workers
-            )
+            *(handle.request("checkpoint") for handle in self.workers)
         )
         self._write_front()
 
@@ -695,12 +783,8 @@ class ShardServer:
             raise InvalidParameterError(
                 "no timestamps ingested yet; send an ingest request first"
             )
-        loop = asyncio.get_running_loop()
         replies = await asyncio.gather(
-            *(
-                loop.run_in_executor(self._pool, handle.call, "summary")
-                for handle in self.workers
-            )
+            *(handle.request("summary") for handle in self.workers)
         )
         shard_summaries = [reply[1] for reply in replies]
         steps = self.watermark
@@ -742,12 +826,13 @@ class ShardServer:
             pass  # client went away; its acks are moot
 
     async def _handle_client(self, reader, writer) -> None:
+        self._clients.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     return
-                if not line.strip():
+                if line is not None and not line.strip():
                     continue
                 await self._queue.put((line, writer))
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -757,6 +842,7 @@ class ShardServer:
             # stream-protocol callback doesn't log the cancellation.
             return
         finally:
+            self._clients.discard(writer)
             try:
                 writer.close()
             except RuntimeError:
@@ -766,116 +852,163 @@ class ShardServer:
         """Serve one request line; ``True`` once it was ``shutdown``.
 
         Both transports feed every line through here in arrival order.
-        Ingests buffer until ``chunk`` are pending; any other op flushes
-        the buffer first.  A bad line answers an error line; a lost
-        shard answers a ``fatal`` error line and raises
-        :class:`~repro.exceptions.ServingError`.
+        Ingests buffer until ``chunk`` are pending, then go in flight
+        once the previous flush has landed; any other op, and any bad
+        line, is a barrier (:meth:`_barrier`) before it answers.  A bad
+        line answers an error line (``line=None`` is a socket line over
+        the length limit, already dropped).  A lost shard raises
+        :class:`~repro.exceptions.ServingError` to the transport.
         """
         try:
-            try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise InvalidParameterError(
-                        "each request must be a JSON object"
-                    )
-                op = request.get("op")
-                if op == "ingest":
-                    values = self._parse_ingest(request)
-                    if self._skip_remaining > 0:
-                        # Replayed feed: this timestamp was merged before
-                        # the restart; acknowledge without re-applying.
-                        t_skip = self.watermark - self._skip_remaining
-                        self._skip_remaining -= 1
-                        await self._send(
-                            writer,
-                            {"op": "ingest", "t": t_skip, "skipped": True},
-                        )
-                        return False
-                    self._buffer.append((values, writer))
-                    if len(self._buffer) >= self.config.chunk:
-                        await self._flush()
-                elif op == "standing":
-                    # Registration sees every ingest acked before it:
-                    # buffered snapshots flush first, so the watermark
-                    # the query anchors at is the one the client saw.
-                    await self._flush()
-                    await self._send(
-                        writer, self._standing_request(request, writer)
-                    )
-                elif op in ("checkpoint", "shutdown"):
-                    await self._flush()
-                    if op == "checkpoint" or self.state_root is not None:
-                        await self._checkpoint()
-                    await self._send(
-                        writer, {"op": op, "watermark": self.watermark}
-                    )
-                    return op == "shutdown"
-                else:
-                    # Queries answer against everything ingested so far.
-                    await self._flush()
-                    await self._send(writer, await self._answer(request))
-            except ServingError:
-                raise
-            except (
-                ReproError,
-                KeyError,
-                ValueError,
-                TypeError,
-                OverflowError,
-            ) as error:
-                await self._flush()
-                await self._send(
-                    writer,
-                    {"error": f"{type(error).__name__}: {error}"},
+            if line is None:
+                raise InvalidParameterError(
+                    f"request line longer than {self._line_limit} bytes, "
+                    f"the longest ingest for this population"
                 )
-        except ServingError as error:
-            # A lost shard is fatal: the tier cannot answer any more.
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise InvalidParameterError(
+                    "each request must be a JSON object"
+                )
+            op = request.get("op")
+            if op == "ingest":
+                values = self._parse_ingest(request)
+                if self._skip_remaining > 0:
+                    # Replayed feed: this timestamp was merged before
+                    # the restart; acknowledge without re-applying.
+                    t_skip = self.watermark - self._skip_remaining
+                    self._skip_remaining -= 1
+                    await self._send(
+                        writer,
+                        {"op": "ingest", "t": t_skip, "skipped": True},
+                    )
+                    return False
+                self._buffer.append((values, writer))
+                if len(self._buffer) >= self.config.chunk:
+                    await self._settle()
+                    await self._launch()
+            elif op == "standing":
+                # Registration sees every ingest acked before it: the
+                # barrier lands them first, so the watermark the query
+                # anchors at is the one the client saw.
+                await self._barrier()
+                await self._send(
+                    writer, self._standing_request(request, writer)
+                )
+            elif op in ("checkpoint", "shutdown"):
+                await self._barrier()
+                if op == "checkpoint" or self.state_root is not None:
+                    await self._checkpoint()
+                await self._send(
+                    writer, {"op": op, "watermark": self.watermark}
+                )
+                return op == "shutdown"
+            else:
+                # Queries answer against everything ingested so far.
+                await self._barrier()
+                await self._send(writer, await self._answer(request))
+        except ServingError:
+            raise
+        except (
+            ReproError,
+            KeyError,
+            ValueError,
+            TypeError,
+            OverflowError,
+        ) as error:
+            await self._barrier()
             await self._send(
                 writer,
-                {"error": f"{type(error).__name__}: {error}", "fatal": True},
+                {"error": f"{type(error).__name__}: {error}"},
             )
-            raise
         return False
 
+    async def _fatal(self, error: ServingError, writers) -> None:
+        """A lost shard: one ``fatal`` error line to each client."""
+        line = {"error": f"{type(error).__name__}: {error}", "fatal": True}
+        for writer in writers:
+            await self._send(writer, line)
+
     async def _dispatch(self) -> None:
-        """Socket transport: drain the queue, flushing when it idles."""
-        while True:
-            try:
-                line, writer = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                # Idle: nothing else is pending, so a partial batch
-                # flushes now instead of waiting for more arrivals.
-                await self._flush()
-                line, writer = await self._queue.get()
-            if await self._handle(line, writer):
-                return
+        """Socket transport: serve the queue with one flush in flight.
+
+        Queued lines are handled back to back.  When the queue idles, a
+        partial batch goes in flight as soon as none is, and the
+        dispatcher waits on whichever comes first: the next line or the
+        in-flight flush landing — so no ack waits for another line.  A
+        lost shard tells every connected client, then raises.
+        """
+        queue = self._queue
+        getter = None
+        try:
+            while True:
+                if getter is None and not queue.empty():
+                    if await self._handle(*queue.get_nowait()):
+                        return
+                    continue
+                if self._inflight is not None and self._inflight.done():
+                    await self._settle()
+                if self._buffer and self._inflight is None:
+                    await self._launch()
+                if getter is None:
+                    getter = asyncio.ensure_future(queue.get())
+                waiting = {getter}
+                if self._inflight is not None:
+                    waiting.add(self._inflight)
+                await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED
+                )
+                if getter.done():
+                    line, writer = getter.result()
+                    getter = None
+                    if await self._handle(line, writer):
+                        return
+        except ServingError as error:
+            await self._fatal(error, list(self._clients))
+            raise
+        finally:
+            if getter is not None:
+                getter.cancel()
 
     async def _serve_lines(self, source, stdout) -> int:
         """Stdin transport: ``source`` lines in, answers on ``stdout``.
 
         No idle flush: a partial batch waits for ``chunk``, another op
-        or EOF.  EOF flushes and checkpoints like ``shutdown`` but
+        or EOF.  Each flush lands before the next line is read: the read
+        blocks the loop, and the client may wait for its acks before
+        writing more.  EOF flushes and checkpoints like ``shutdown`` but
         answers nothing.
         """
         writer = _LineWriter(stdout)
         handled = False
-        for line in source:
-            if not line.strip():
-                continue
-            handled = True
-            if await self._handle(line, writer):
-                return 0
-        if not handled:
-            raise InvalidParameterError("no requests received")
-        await self._flush()
-        if self.state_root is not None:
-            await self._checkpoint()
+        try:
+            for line in source:
+                if not line.strip():
+                    continue
+                handled = True
+                if await self._handle(line, writer):
+                    return 0
+                await self._settle()
+            if not handled:
+                raise InvalidParameterError("no requests received")
+            await self._flush()
+            if self.state_root is not None:
+                await self._checkpoint()
+        except ServingError as error:
+            await self._fatal(error, [writer])
+            raise
         return 0
 
     async def _amain(self, stdout) -> int:
         self._queue = asyncio.Queue()
+        self._line_limit = line_limit(
+            self.config.n_users, self.config.domain_size
+        )
         server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+            self._handle_client,
+            self.config.host,
+            self.config.port,
+            limit=self._line_limit,
         )
         port = server.sockets[0].getsockname()[1]
         # The hello line is the service-discovery contract: drivers read
@@ -903,7 +1036,7 @@ class ShardServer:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers and release the executor (idempotent)."""
+        """Stop the workers (idempotent)."""
         for handle in self.workers:
             try:
                 handle.conn.send(("stop",))
@@ -918,7 +1051,6 @@ class ShardServer:
             except OSError:
                 pass
         self.workers = []
-        self._pool.shutdown(wait=False)
 
 
 def run_server(config: ServeConfig, *, stdout=None, stdin=None) -> int:

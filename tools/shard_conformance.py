@@ -20,6 +20,10 @@ enforces the two-tier contract of ``docs/SERVING.md``:
    summary query bit-identically to the serial reference session.  The
    feed cycles JSON ``values``, b64 ``u1`` and b64 ``u2`` lines (those
    that fit the domain), so the packed wire forms face the same check.
+   Its first part is closed-loop (one ingest, one ack); its last
+   ``3 * chunk + 1`` ingests, with a pinned query in their middle, are
+   written before any reply is read, so a flush is in flight while the
+   front parses the next batch.
 
 Writes a JSON report and exits non-zero on any violation::
 
@@ -204,13 +208,19 @@ class _Client:
         self.rfile = self.sock.makefile("r", encoding="utf-8")
         self.wfile = self.sock.makefile("w", encoding="utf-8")
 
-    def ask(self, request: dict) -> dict:
+    def send(self, request: dict) -> None:
         self.wfile.write(json.dumps(request) + "\n")
         self.wfile.flush()
+
+    def recv(self) -> dict:
         line = self.rfile.readline()
         if not line:
             raise RuntimeError("server closed the connection")
         return json.loads(line)
+
+    def ask(self, request: dict) -> dict:
+        self.send(request)
+        return self.recv()
 
     def close(self):
         self.sock.close()
@@ -292,8 +302,25 @@ def _serial_answer(serial: ShardedSession, request: dict) -> dict:
     raise ValueError(op)
 
 
+def _pipelined_requests(args, block, tags, first: int) -> List[dict]:
+    """Ingests ``first..steps`` with two queries pinned at the timestamp
+    acked just before them, halfway through."""
+    requests = [
+        _ingest_request(block[t], tags[t % len(tags)])
+        for t in range(first, args.steps)
+    ]
+    half = max(1, (args.steps - first) // 2)
+    t_mid = first + half - 1
+    queries = [
+        {"op": "point", "item": 0, "t": t_mid},
+        {"op": "topk", "k": min(3, args.domain_size), "t": t_mid},
+    ]
+    return requests[:half] + queries + requests[half:]
+
+
 def check_server(args, block, k: int) -> dict:
     serial = _serial_session(args, block, k)
+    first_pipelined = max(0, args.steps - (3 * args.chunk + 1))
     cmd = [
         sys.executable, "-m", "repro", "serve",
         "--shards", str(k), "--n-users", str(args.n_users),
@@ -322,13 +349,29 @@ def check_server(args, block, k: int) -> dict:
             )
         client = _Client(int(hello["port"]))
         try:
-            for t in range(args.steps):
+            for t in range(first_pipelined):
                 tag = tags[t % len(tags)]
-                ack = client.ask(_ingest_request(block[t], tag))
-                want = serial.merged.strategy_at(t)
-                if ack.get("t") != t or ack.get("strategy") != want:
+                got = client.ask(_ingest_request(block[t], tag))
+                _check_ack(serial, t, got, mismatches)
+            burst = _pipelined_requests(args, block, tags, first_pipelined)
+            for request in burst:
+                client.send(request)
+            t = first_pipelined
+            for request in burst:
+                got = client.recv()
+                if request["op"] == "ingest":
+                    _check_ack(serial, t, got, mismatches)
+                    t += 1
+                    continue
+                as_of = got.pop("as_of", None)
+                if as_of != t - 1:
                     mismatches.append(
-                        {"query": {"op": "ingest", "t": t}, "got": ack}
+                        {"query": request, "as_of": as_of, "want": t - 1}
+                    )
+                want = _serial_answer(serial, request)
+                if got != want:
+                    mismatches.append(
+                        {"query": request, "got": got, "want": want}
                     )
             for request in _queries(args):
                 got = client.ask(request)
@@ -350,11 +393,18 @@ def check_server(args, block, k: int) -> dict:
         "check": "server_exactness",
         "shards": k,
         "steps": args.steps,
-        "queries": args.steps + len(_queries(args)),
+        "queries": args.steps + len(_queries(args)) + 2,
+        "pipelined_ingests": args.steps - first_pipelined,
         "encodings": tags,
         "mismatches": mismatches,
         "ok": not mismatches,
     }
+
+
+def _check_ack(serial: ShardedSession, t: int, got: dict, mismatches) -> None:
+    want = serial.merged.strategy_at(t)
+    if got.get("t") != t or got.get("strategy") != want:
+        mismatches.append({"query": {"op": "ingest", "t": t}, "got": got})
 
 
 # ----------------------------------------------------------------------
