@@ -30,20 +30,19 @@ queue drains empty, the stdin transport at EOF.  The batch flushes to
 all shards *in parallel* (one ``observe_many`` per shard) and the merged
 rows are acknowledged per line.  Batch boundaries provably cannot change
 any result (``observe_many`` is chunk-invariant and the merge is per
-timestamp), so dynamic batching is pure throughput.
-
-**One flush in flight.**  The front sends each worker command from the
+timestamp), so dynamic batching is pure throughput.  One flush is in
+flight at a time: the front sends each worker command from the
 event-loop thread and reads its reply on the loop
 (``loop.add_reader`` on the pipe), so the socket transport parses and
-stacks the next batch while the previous one is in the workers.  At
-most one flush is in flight: a full batch first waits for the previous
-flush's merge and acks, and the idle dispatcher waits on whichever comes
-first, the next line or the in-flight replies, so no ack waits for
-another line to arrive.  Every other op, error line and checkpoint is a
-barrier: it lands the in-flight flush and flushes the buffer before it
-answers, so answers still see exactly the ingests acked before them.
-The stdin transport lands each flush before it reads its next line (a
-stdin client may wait for its acks before writing more).
+stacks the next batch while the previous one is in the workers.  A
+full batch first waits for the previous flush's merge and acks, and the
+idle dispatcher waits on whichever comes first, the next line or the
+in-flight replies, so no ack waits for another line to arrive.  Every
+other op, error line and checkpoint is a barrier: it lands the
+in-flight flush and flushes the buffer before it answers, so answers
+still see exactly the ingests acked before them.  The stdin transport
+lands each flush before it reads its next line (a stdin client may wait
+for its acks before writing more).
 
 **Durability.**  With ``state_dir`` every shard keeps its own WAL +
 checkpoints under ``<dir>/shard-XX/`` (:func:`shard_state_dir`) and
