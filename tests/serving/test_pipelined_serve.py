@@ -155,18 +155,19 @@ def test_a_pipelined_burst_matches_the_serial_reference(shards):
 
 
 def test_a_worker_killed_mid_flight_answers_one_fatal_line():
-    """SIGKILL the socket tier's worker right after the first ack of 8
+    """SIGKILL the socket tier's worker right after the first ack of 12
     pipelined ingests, while the next batch is in its hands (the
     per-user ``--no-fast`` protocol over 10 000 users and 256 items
-    takes about 25 ms a timestamp here, so each of the two remaining
-    batches is in flight for ~90 ms): the client gets its acks so far,
-    then exactly one ``fatal`` error line, and the server exits 2.
+    takes about 25 ms a timestamp on a 2-vCPU host, so the remaining
+    batches keep a flush in flight for ~250 ms): the client gets its
+    acks so far, then exactly one ``fatal`` error line, and the server
+    exits 2.
 
     No line follows the kill: the loss must surface from the in-flight
     replies alone, and unread bytes at the server's close would reset
     the connection before the client reads the fatal line."""
     n_users, domain = 10_000, 256
-    block = feed_block(8, n_users, domain, seed=65)
+    block = feed_block(12, n_users, domain, seed=65)
     with ShardServerProc(
         sharded_cmd(
             shards=1,
