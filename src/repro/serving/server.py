@@ -30,29 +30,34 @@ queue drains empty, the stdin transport at EOF.  The batch flushes to
 all shards *in parallel* (one ``observe_many`` per shard) and the merged
 rows are acknowledged per line.  Batch boundaries provably cannot change
 any result (``observe_many`` is chunk-invariant and the merge is per
-timestamp), so dynamic batching is pure throughput.  One flush is in
-flight at a time: the front sends each worker command from the
-event-loop thread and reads its reply on the loop
-(``loop.add_reader`` on the pipe), so the socket transport parses and
-stacks the next batch while the previous one is in the workers.  A
-full batch first waits for the previous flush's merge and acks, and the
-idle dispatcher waits on whichever comes first, the next line or the
-in-flight replies, so no ack waits for another line to arrive.  Every
-other op, error line and checkpoint is a barrier: it lands the
-in-flight flush and flushes the buffer before it answers, so answers
-still see exactly the ingests acked before them.  The stdin transport
-lands each flush before it reads its next line (a stdin client may wait
-for its acks before writing more).
+timestamp), so dynamic batching is pure throughput.  Up to two flushes
+are in flight: the front sends each worker command from the event-loop
+thread without blocking on a full pipe and reads the replies on the
+loop (``loop.add_reader`` on the pipe), in command order, so each
+worker already holds batch k+1 while the front merges, acks and
+checkpoints batch k, and the socket transport parses and stacks the
+batch after.  A full batch goes out as soon as fewer than two flushes
+are in flight; merges, acks, alerts and checkpoints still happen in
+flush order.  The idle dispatcher sends a partial batch only when no
+flush is in flight and waits on whichever comes first, the next line or
+the oldest flight landing, so no ack waits for another line to arrive.
+Every other op, error line and checkpoint is a barrier: it lands every
+flight and flushes the buffer before it answers, so answers still see
+exactly the ingests acked before them.  The stdin transport lands each
+flush before it reads its next line (a stdin client may wait for its
+acks before writing more).
 
 **Durability.**  With ``state_dir`` every shard keeps its own WAL +
 checkpoints under ``<dir>/shard-XX/`` (:func:`shard_state_dir`) and
 commits its WAL before replying, so every ack follows its durable
 record.  The front atomically writes ``front.json`` (merged store
 snapshot + watermark) *after* all shard checkpoint acks — so
-``W_front <= W_shard`` always holds.  On restart the front resumes its
-merged store from ``front.json``, rebuilds the ``[W_front, min
-W_shard)`` gap from the shards' committed WAL rows, and skips re-sent
-timestamps per shard until every shard is live again.  Resuming under a
+``W_front <= W_shard`` always holds (a flush's checkpoint command may
+reach a worker behind the next batch, so a shard can checkpoint one
+batch past ``front.json``).  On restart the front resumes its merged
+store from ``front.json``, rebuilds the ``[W_front, min W_shard)`` gap
+from the shards' committed WAL rows, and skips re-sent timestamps per
+shard until every shard is live again.  Resuming under a
 different ``--shards`` is refused
 (:class:`~repro.exceptions.CheckpointError`): resharding reshuffles the
 user partition and no shard's state remains valid.
@@ -65,11 +70,16 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import collections
 import json
 import multiprocessing
+import os
+import socket
+import struct
 import sys
 import threading
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -102,6 +112,13 @@ _FRONT_FORMAT = "repro-front"
 FRONT_VERSION = 1
 
 _B64_DTYPES = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
+
+#: Flushes the socket transport keeps in flight: each worker already
+#: holds batch k+1 while the front merges and acks batch k.
+_FLIGHTS = 2
+
+#: Seconds a closing socket server waits for its clients to hang up.
+_HANG_UP_S = 2.0
 
 #: Bytes of a socket request line beyond its ingest payload: the JSON
 #: envelope, and room for every other op (asyncio's default line limit).
@@ -254,13 +271,38 @@ class ServeConfig:
         }
 
 
+def _frame(message) -> list:
+    """``message`` as the buffers ``Connection.send`` writes: a ``!i``
+    length (``-1`` then ``!Q`` past 2 GiB) and the pickle, so the
+    worker's ``Connection.recv`` reads it."""
+    payload = ForkingPickler.dumps(message)
+    size = len(payload)
+    if size > 0x7FFFFFFF:
+        return [struct.pack("!iQ", -1, size), payload]
+    return [struct.pack("!i", size), payload]
+
+
 class _WorkerHandle:
-    """One shard worker (process or thread) + its command pipe (front side)."""
+    """One shard worker (process or thread) + its command pipe (front side).
+
+    Commands and replies pair up in order: the worker serves its pipe
+    one command at a time, so the ``k``-th reply answers the ``k``-th
+    command still pending.  Sends never block the event loop: with a
+    command pending, a blocking send of the next one could wait for the
+    worker to read it while the worker waits for the front to read its
+    reply.  Bytes the pipe cannot take yet wait in ``_outbox`` and go
+    out as it drains.
+    """
 
     def __init__(self, index: int, runner, conn):
         self.index = index
         self.runner = runner
         self.conn = conn
+        # A second handle on the pipe's socket, for MSG_DONTWAIT sends:
+        # the fd stays blocking for ``conn.recv``.
+        self._sock = socket.socket(fileno=os.dup(conn.fileno()))
+        self._outbox = bytearray()
+        self._pending: collections.deque = collections.deque()
 
     def request(self, *message) -> asyncio.Future:
         """Send one command from the event-loop thread.
@@ -272,37 +314,91 @@ class _WorkerHandle:
         """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        died = ServingError(
-            f"shard {self.index} worker died mid-command ({message[0]!r})"
-        )
         try:
-            self.conn.send(message)
+            self._write(loop, _frame(message))
         except OSError:
-            future.set_exception(died)
+            future.set_exception(self._died(message[0]))
             return future
-        fd = self.conn.fileno()
-
-        def on_reply() -> None:
-            loop.remove_reader(fd)
-            if future.cancelled():
-                return
-            try:
-                reply = self.conn.recv()
-            except (EOFError, OSError):
-                future.set_exception(died)
-                return
-            if reply[0] == "error":
-                future.set_exception(
-                    ServingError(
-                        f"shard {self.index} failed on {message[0]!r} and "
-                        f"is no longer consistent with the tier: {reply[1]}"
-                    )
-                )
-            else:
-                future.set_result(reply)
-
-        loop.add_reader(fd, on_reply)
+        if not self._pending:
+            loop.add_reader(self.conn.fileno(), self._on_reply, loop)
+        self._pending.append((future, message[0]))
         return future
+
+    def _died(self, op) -> ServingError:
+        return ServingError(
+            f"shard {self.index} worker died mid-command ({op!r})"
+        )
+
+    def _write(self, loop, buffers: list) -> None:
+        sent = 0
+        if not self._outbox:
+            try:
+                sent = self._sock.sendmsg(buffers, (), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                pass
+            if sent == sum(len(b) for b in buffers):
+                return
+            loop.add_writer(self._sock.fileno(), self._drain, loop)
+        for buffer in buffers:
+            self._outbox += buffer
+        del self._outbox[:sent]
+
+    def _drain(self, loop) -> None:
+        try:
+            sent = self._sock.send(self._outbox, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            sent = len(self._outbox)  # worker gone: its EOF fails the replies
+        del self._outbox[:sent]
+        if not self._outbox:
+            loop.remove_writer(self._sock.fileno())
+
+    def _on_reply(self, loop) -> None:
+        """Read one reply into the oldest pending command's future, even
+        a cancelled one, so the pairing never slips; a dead worker fails
+        every pending command."""
+        future, op = self._pending.popleft()
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            lost = [(future, op), *self._pending]
+            self._pending.clear()
+            loop.remove_reader(self.conn.fileno())
+            for waiter, waiting_op in lost:
+                if not waiter.cancelled():
+                    waiter.set_exception(self._died(waiting_op))
+            return
+        if not self._pending:
+            loop.remove_reader(self.conn.fileno())
+        if future.cancelled():
+            return
+        if reply[0] == "error":
+            future.set_exception(
+                ServingError(
+                    f"shard {self.index} failed on {op!r} and is no "
+                    f"longer consistent with the tier: {reply[1]}"
+                )
+            )
+        else:
+            future.set_result(reply)
+
+    def stop(self) -> None:
+        """Ask the worker to exit, never blocking: a full pipe or a
+        half-written command (the loop stopped mid-send) skips the
+        request, and the caller's join timeout ends the worker."""
+        if not self._outbox:
+            try:
+                self._sock.sendmsg(_frame(("stop",)), (), socket.MSG_DONTWAIT)
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        for end in (self._sock, self.conn):
+            try:
+                end.close()
+            except OSError:
+                pass
 
 
 class _LineWriter:
@@ -342,9 +438,13 @@ class ShardServer:
             None if config.state_dir is None else Path(config.state_dir)
         )
         self._buffer: list = []
-        self._inflight: Optional[asyncio.Task] = None
+        # Flush tasks in flight, oldest first, and the one the next
+        # launched flush must land after.
+        self._flights: collections.deque = collections.deque()
+        self._after: Optional[asyncio.Task] = None
         self._queue: Optional[asyncio.Queue] = None
-        self._clients: set = set()
+        # Each connected client's writer -> the task reading its lines.
+        self._clients: Dict[object, asyncio.Task] = {}
         self._line_limit = 0
         self._flushed_chunks = 0
         self._skip_remaining = 0
@@ -615,13 +715,22 @@ class ShardServer:
         return values
 
     async def _flush(self) -> None:
-        """Ingest the buffered snapshots through all shards in parallel."""
+        """Ingest the buffered snapshots through all shards in parallel.
+
+        The batch goes to the workers at once; it merges and acks only
+        after the flush it was launched behind (``_after``) has landed.
+        """
         if not self._buffer:
             return
         entries, self._buffer = self._buffer, []
+        previous, self._after = self._after, None
         block = np.stack([values for values, _ in entries])
         m = block.shape[0]
-        t0 = self.watermark
+        # Every shard has been sent every row below its ``worker_next``,
+        # and the shard that resumed lowest starts at the merged
+        # watermark, so the minimum is the watermark plus the rows
+        # still in flight.
+        t0 = min(self.worker_next)
         parts = self.router.split_block(block)
         starts: Dict[int, int] = {}
         futures = []
@@ -637,7 +746,10 @@ class ShardServer:
                         "ingest", t0 + start_i, parts[s][start_i:]
                     )
                 )
+            self.worker_next[s] = max(self.worker_next[s], t0 + m)
         replies = await asyncio.gather(*futures)
+        if previous is not None:
+            await previous
         results = {
             s: (start_i, reply[1])
             for (s, start_i), reply in zip(starts.items(), replies)
@@ -652,8 +764,6 @@ class ShardServer:
             release, variance, strategy = self._merged_row(t, fresh)
             self.merged.append(t, release, variance, strategy)
             acks.append({"op": "ingest", "t": t, "strategy": strategy})
-        for s in range(self.config.num_shards):
-            self.worker_next[s] = max(self.worker_next[s], t0 + m)
         self._flushed_chunks += 1
         if (
             self.state_root is not None
@@ -671,17 +781,26 @@ class ShardServer:
     async def _launch(self) -> None:
         """Put the buffered batch in flight and go back to parsing.
 
-        The batch runs through :meth:`_flush` as a task; one yield lets
-        it take the buffer and send its worker commands first.
+        With ``_FLIGHTS`` flushes in flight the oldest lands first.  The
+        batch runs through :meth:`_flush` as a task behind the newest
+        flight; one yield lets it take the buffer and send its worker
+        commands first.
         """
-        self._inflight = asyncio.ensure_future(self._flush())
+        if len(self._flights) >= _FLIGHTS:
+            await self._land()
+        self._after = self._flights[-1] if self._flights else None
+        self._flights.append(asyncio.ensure_future(self._flush()))
         await asyncio.sleep(0)
 
+    async def _land(self) -> None:
+        """Wait for the oldest flush in flight: its merge, acks and
+        alerts."""
+        await self._flights.popleft()
+
     async def _settle(self) -> None:
-        """Wait for the in-flight flush: its merge, acks and alerts."""
-        flight, self._inflight = self._inflight, None
-        if flight is not None:
-            await flight
+        """Land every flush in flight, in order."""
+        while self._flights:
+            await self._land()
 
     async def _barrier(self) -> None:
         """Land every ingest received so far, in flight or buffered."""
@@ -825,7 +944,7 @@ class ShardServer:
             pass  # client went away; its acks are moot
 
     async def _handle_client(self, reader, writer) -> None:
-        self._clients.add(writer)
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 line = await _read_line(reader)
@@ -841,7 +960,7 @@ class ShardServer:
             # stream-protocol callback doesn't log the cancellation.
             return
         finally:
-            self._clients.discard(writer)
+            self._clients.pop(writer, None)
             try:
                 writer.close()
             except RuntimeError:
@@ -852,7 +971,7 @@ class ShardServer:
 
         Both transports feed every line through here in arrival order.
         Ingests buffer until ``chunk`` are pending, then go in flight
-        once the previous flush has landed; any other op, and any bad
+        behind at most one other flush; any other op, and any bad
         line, is a barrier (:meth:`_barrier`) before it answers.  A bad
         line answers an error line (``line=None`` is a socket line over
         the length limit, already dropped).  A lost shard raises
@@ -884,7 +1003,6 @@ class ShardServer:
                     return False
                 self._buffer.append((values, writer))
                 if len(self._buffer) >= self.config.chunk:
-                    await self._settle()
                     await self._launch()
             elif op == "standing":
                 # Registration sees every ingest acked before it: the
@@ -929,13 +1047,15 @@ class ShardServer:
             await self._send(writer, line)
 
     async def _dispatch(self) -> None:
-        """Socket transport: serve the queue with one flush in flight.
+        """Socket transport: serve the queue with two flushes in flight.
 
         Queued lines are handled back to back.  When the queue idles, a
-        partial batch goes in flight as soon as none is, and the
-        dispatcher waits on whichever comes first: the next line or the
-        in-flight flush landing — so no ack waits for another line.  A
-        lost shard tells every connected client, then raises.
+        partial batch goes in flight only if none is, and the dispatcher
+        waits on whichever comes first: the next line or the oldest
+        flight landing — so no ack waits for another line.  A lost shard
+        tells every connected client, then raises; every flight left is
+        cancelled or its outcome retrieved, so the one fatal line is
+        all that reports it.
         """
         queue = self._queue
         getter = None
@@ -945,15 +1065,15 @@ class ShardServer:
                     if await self._handle(*queue.get_nowait()):
                         return
                     continue
-                if self._inflight is not None and self._inflight.done():
-                    await self._settle()
-                if self._buffer and self._inflight is None:
+                while self._flights and self._flights[0].done():
+                    await self._land()
+                if self._buffer and not self._flights:
                     await self._launch()
                 if getter is None:
                     getter = asyncio.ensure_future(queue.get())
                 waiting = {getter}
-                if self._inflight is not None:
-                    waiting.add(self._inflight)
+                if self._flights:
+                    waiting.add(self._flights[0])
                 await asyncio.wait(
                     waiting, return_when=asyncio.FIRST_COMPLETED
                 )
@@ -968,6 +1088,9 @@ class ShardServer:
         finally:
             if getter is not None:
                 getter.cancel()
+            for flight in self._flights:
+                if not flight.cancel() and not flight.cancelled():
+                    flight.exception()
 
     async def _serve_lines(self, source, stdout) -> int:
         """Stdin transport: ``source`` lines in, answers on ``stdout``.
@@ -1030,25 +1153,39 @@ class ShardServer:
             await self._dispatch()
         finally:
             server.close()
+            await self._hang_up()
             await server.wait_closed()
         return 0
+
+    async def _hang_up(self) -> None:
+        """End every connection without a reset.
+
+        Closing a socket that still holds unread request bytes makes the
+        kernel reset the connection, and the client loses the answers
+        (the ``shutdown`` or ``fatal`` line) already written to it.  So
+        each connection is half-closed first: the client reads to EOF,
+        and its reader task goes on discarding lines until the client
+        closes too, for at most ``_HANG_UP_S``.
+        """
+        for writer in list(self._clients):
+            try:
+                writer.write_eof()
+            except OSError:
+                pass
+        readers = list(self._clients.values())
+        if readers:
+            await asyncio.wait(readers, timeout=_HANG_UP_S)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the workers (idempotent)."""
         for handle in self.workers:
-            try:
-                handle.conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
+            handle.stop()
         for handle in self.workers:
             handle.runner.join(timeout=5)
             if handle.runner.is_alive() and not self.in_process:
                 handle.runner.terminate()
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            handle.close()
         self.workers = []
 
 

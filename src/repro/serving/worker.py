@@ -13,8 +13,12 @@ check), ingesting and checkpointing are ``DurableSession``'s, the same
 path ``repro stream --state-dir`` runs; the worker adds the pipe
 protocol, the store-capacity refusal and the WAL replay rows.
 
-The protocol over the pipe is a strict request/reply alternation driven
-by the front (one in-flight command per worker, ever):
+The protocol over the pipe is request/reply driven by the front.  The
+worker serves one command at a time, in the order sent, and answers
+each before it reads the next; the front may have sent the next one
+already (two ingest flushes in flight, and a flush's checkpoint behind
+the next batch), and pairs each reply with the oldest unanswered
+command:
 
 ==============================  =======================================
 front sends                     worker replies

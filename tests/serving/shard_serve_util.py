@@ -13,10 +13,13 @@ This module is imported by several test files in a directory without an
 
 import json
 import os
+import queue
 import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,27 @@ def serve_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return env
+
+
+def serve_config(*, shards, n_users, capacity=None, **overrides):
+    """The :class:`ServeConfig` of ``sharded_cmd`` with the same
+    arguments (``capacity=None`` is ``--capacity 0``, unbounded)."""
+    from repro.serving.server import ServeConfig
+
+    cfg = {**DEFAULTS, **overrides}
+    return ServeConfig(
+        mechanism=cfg["method"],
+        n_users=n_users,
+        domain_size=cfg["domain"],
+        epsilon=cfg["epsilon"],
+        window=cfg["window"],
+        num_shards=shards,
+        oracle=cfg["oracle"],
+        seed=cfg["seed"],
+        postprocess=cfg["postprocess"],
+        capacity=capacity,
+        chunk=cfg["chunk"],
+    )
 
 
 def sharded_cmd(*, shards, n_users, extra=(), **overrides):
@@ -180,6 +204,100 @@ class ShardServerProc:
     def __exit__(self, *exc):
         if self.proc.poll() is None:
             self.kill()
+
+
+class InProcessServer:
+    """The socket transport on a thread of this process, so a test can
+    patch the front (shard workers are still spawned processes).
+
+    It runs :func:`repro.serving.server.run_server` exactly as ``repro
+    serve --shards K`` does, with this object as the stdout its hello
+    line goes to.
+    """
+
+    def __init__(self, config):
+        from repro.serving.server import run_server
+
+        self._hello = queue.Queue()
+        self.rc = None
+        self.error = None
+
+        def run():
+            try:
+                self.rc = run_server(config, stdout=self)
+            except BaseException as error:  # re-raised by shutdown()
+                self.error = error
+            finally:
+                self._hello.put(None)
+
+        self._thread = threading.Thread(target=run, daemon=True)
+        self._thread.start()
+        hello = self._hello.get(timeout=120)
+        if hello is None:
+            raise AssertionError(
+                f"server failed before its hello line: {self.error!r}"
+            )
+        self.port = int(hello["port"])
+
+    def write(self, text):
+        if text.strip():
+            self._hello.put(json.loads(text))
+
+    def flush(self):
+        pass
+
+    def client(self, timeout=120):
+        return ServerClient(self.port, timeout=timeout)
+
+    def shutdown(self, timeout=60):
+        """Graceful shutdown; returns (reply, return code)."""
+        with self.client(timeout=timeout) as client:
+            reply = client.ask({"op": "shutdown"})
+        self._thread.join(timeout)
+        assert not self._thread.is_alive(), "server thread did not exit"
+        if self.error is not None:
+            raise self.error
+        return reply, self.rc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread.is_alive():
+            try:
+                self.shutdown(timeout=30)
+            except (OSError, AssertionError):
+                pass
+        elif self.error is not None and exc[0] is not None:
+            raise AssertionError(f"server failed: {self.error!r}")
+
+
+def worker_pids(pid):
+    """The shard workers among the child processes of ``pid`` (the
+    spawn context also starts a resource tracker)."""
+    workers = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/children") as handle:
+            for child in handle.read().split():
+                with open(f"/proc/{child}/cmdline", "rb") as cmdline:
+                    if b"--multiprocessing-fork" in cmdline.read():
+                        workers.append(int(child))
+    return workers
+
+
+def wait_exited(pid, timeout=60):
+    """Until process ``pid`` has exited (gone, or a zombie)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return
+        if state in ("Z", "X"):
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"process {pid} still runs after {timeout} s")
 
 
 def assert_same_answer(got, want, *, ignore=("as_of",)):

@@ -1,16 +1,22 @@
-"""The socket tier with one flush in flight, and its request-line limit.
+"""The socket tier with two flushes in flight, and its request-line limit.
 
-The front parses and stacks the next batch while the previous one is in
-the shard workers.  These tests drive a real ``repro serve --shards K``
-subprocess the way a pipelining client does: many lines written before
-any reply is read.  They pin the rules that keep that exact:
+Each shard worker already holds batch k+1 while the front merges and
+acks batch k.  These tests drive the socket transport (a real ``repro
+serve --shards K`` subprocess, or the same server on a thread of the
+test) the way a pipelining client does: many lines written before any
+reply is read.  They pin the rules that keep that exact:
 
 * a partial batch is acked with no further line to push it out;
 * a burst with a query in the middle answers bit for bit like the serial
   reference, even with ``--capacity`` equal to ``--chunk`` (a batch
-  larger than ``--chunk`` would fail the shards' read-back);
+  larger than ``--chunk`` would fail the shards' read-back), while each
+  worker holds two ingests at once and never three;
+* commands and replies larger than the pipe's buffer do not deadlock
+  the front and a worker that both wait to write;
 * a worker lost while a flush is in flight answers one fatal line and
   the server exits 2;
+* lines a client writes after ``shutdown`` do not reset its connection:
+  it reads its answers, then EOF;
 * a request line is limited by the longest valid ingest for the
   population, not by asyncio's 64 KiB default, and a longer line earns
   an error line without ending its connection.
@@ -20,18 +26,22 @@ import base64
 import json
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.serving.server import LINE_LIMIT_USERS, line_limit
+from repro.serving.server import LINE_LIMIT_USERS, _WorkerHandle, line_limit
 from shard_serve_util import (
     DEFAULTS,
+    InProcessServer,
     ShardServerProc,
     assert_same_answer,
     feed_block,
     serial_reference,
+    serve_config,
     sharded_cmd,
+    worker_pids,
 )
 
 N_USERS = 64
@@ -47,19 +57,6 @@ def _b64_ingest(row):
         "b64": base64.b64encode(row.astype(np.uint8).tobytes()).decode(),
         "dtype": "u1",
     }
-
-
-def _worker_pids(pid):
-    """The shard workers among the child processes of ``pid`` (the
-    spawn context also starts a resource tracker)."""
-    workers = []
-    for tid in os.listdir(f"/proc/{pid}/task"):
-        with open(f"/proc/{pid}/task/{tid}/children") as handle:
-            for child in handle.read().split():
-                with open(f"/proc/{child}/cmdline", "rb") as cmdline:
-                    if b"--multiprocessing-fork" in cmdline.read():
-                        workers.append(int(child))
-    return workers
 
 
 def test_a_partial_batch_is_acked_without_another_line():
@@ -81,11 +78,22 @@ def test_a_partial_batch_is_acked_without_another_line():
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_a_pipelined_burst_matches_the_serial_reference(shards):
+def test_a_pipelined_burst_matches_the_serial_reference(shards, monkeypatch):
     """22 ingests (5.5 chunks) with a query after the 10th, all written
-    before any reply is read, at ``--capacity`` = ``--chunk``: acks,
-    the mid-burst answer and the final answers equal the serial
-    reference's bit for bit, in request order."""
+    in one write before any reply is read, at ``--capacity`` =
+    ``--chunk``: acks, the mid-burst answer and the final answers equal
+    the serial reference's bit for bit, in request order.  Meanwhile
+    each worker holds two ingest commands at once (sent, not yet
+    answered) and never three."""
+    held = []
+    original = _WorkerHandle.request
+
+    def counting_request(handle, *message):
+        future = original(handle, *message)
+        held.append(sum(op == "ingest" for _, op in handle._pending))
+        return future
+
+    monkeypatch.setattr(_WorkerHandle, "request", counting_request)
     chunk = DEFAULTS["chunk"]
     steps, mid = 22, 10
     block = feed_block(steps, N_USERS, DEFAULTS["domain"], seed=63)
@@ -103,21 +111,17 @@ def test_a_pipelined_burst_matches_the_serial_reference(shards):
             "item": 2,
         },
     ]
-    with ShardServerProc(
-        sharded_cmd(
-            shards=shards,
-            n_users=N_USERS,
-            extra=("--capacity", str(chunk)),
-        )
+    with InProcessServer(
+        serve_config(shards=shards, n_users=N_USERS, capacity=chunk)
     ) as server:
         with server.client(timeout=60) as client:
-            for t in range(mid):
-                client.send(_ingest(block[t]))
-            client.send({"op": "point", "item": 3})
-            for t in range(mid, steps):
-                client.send(_ingest(block[t]))
-            for request in finals:
-                client.send(request)
+            burst = [
+                *(_ingest(row) for row in block[:mid]),
+                {"op": "point", "item": 3},
+                *(_ingest(row) for row in block[mid:]),
+                *finals,
+            ]
+            client.send_raw("\n".join(json.dumps(r) for r in burst))
 
             acks = [client.recv() for _ in range(mid)]
             middle = client.recv()
@@ -126,6 +130,7 @@ def test_a_pipelined_burst_matches_the_serial_reference(shards):
         reply, rc = server.shutdown()
     assert rc == 0
     assert reply["watermark"] == steps
+    assert max(held) == 2, held
     for t, ack in enumerate(acks):
         assert ack == {
             "op": "ingest",
@@ -182,7 +187,7 @@ def test_a_worker_killed_mid_flight_answers_one_fatal_line():
                 client.send(_b64_ingest(row))
             lines = [client.recv()]
             assert lines[0]["t"] == 0, lines
-            (worker,) = _worker_pids(server.proc.pid)
+            (worker,) = worker_pids(server.proc.pid)
             os.kill(worker, signal.SIGKILL)
             while True:
                 raw = client.rfile.readline()
@@ -202,6 +207,64 @@ def test_a_worker_killed_mid_flight_answers_one_fatal_line():
     assert rc == 2
     assert "worker died" in stderr
     assert "Traceback" not in stderr
+
+
+def test_commands_and_replies_larger_than_the_pipe_are_acked():
+    """With one batch in a worker's hands, the next batch (8 x 40 000
+    ``u2`` values, 640 KB) and the worker's reply (8 releases over
+    8 192 items, 512 KB) are each larger than a socketpair's default
+    buffer (208 KiB).  A front that blocked sending the second batch
+    would never read the first reply the worker is blocked writing;
+    all 32 pipelined ingests must be acked instead."""
+    n_users, domain, steps = 40_000, 8192, 32
+    block = feed_block(steps, n_users, domain, seed=71)
+    burst = [
+        {
+            "op": "ingest",
+            "b64": base64.b64encode(row.astype(np.uint16).tobytes()).decode(),
+            "dtype": "u2",
+        }
+        for row in block
+    ]
+    with ShardServerProc(
+        sharded_cmd(
+            shards=1, n_users=n_users, oracle="oue", domain=domain, chunk=8
+        )
+    ) as server:
+        with server.client(timeout=60) as client:
+            client.send_raw("\n".join(json.dumps(r) for r in burst))
+            assert [client.recv()["t"] for _ in block] == list(range(steps))
+        reply, rc = server.shutdown()
+    assert reply["watermark"] == steps
+    assert rc == 0
+
+
+def test_lines_after_shutdown_do_not_reset_the_connection():
+    """A client writes an ingest, ``shutdown`` and 300 more ingests
+    (N = 10 000), waits, then reads: in each trial it gets the ack, the
+    shutdown line and a clean EOF.  Closing a socket with those 300
+    lines unread would reset the connection instead, and the client's
+    read would raise ``ConnectionResetError``."""
+    n_users = 10_000
+    block = feed_block(2, n_users, DEFAULTS["domain"], seed=73)
+    tail = "\n".join([json.dumps(_b64_ingest(block[1]))] * 300)
+    for _ in range(4):
+        with ShardServerProc(
+            sharded_cmd(shards=1, n_users=n_users, chunk=1)
+        ) as server:
+            with server.client(timeout=30) as client:
+                client.send(_b64_ingest(block[0]))
+                client.send({"op": "shutdown"})
+                client.send_raw(tail)
+                time.sleep(1)
+                lines = [json.loads(raw) for raw in client.rfile]
+            assert server.proc.wait(timeout=30) == 0
+            server.proc.stdout.close()
+            server.proc.stderr.close()
+        assert lines == [
+            {"op": "ingest", "t": 0, "strategy": lines[0]["strategy"]},
+            {"op": "shutdown", "watermark": 1},
+        ]
 
 
 @pytest.mark.parametrize("n_users", [60_000, None])

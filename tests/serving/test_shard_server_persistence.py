@@ -8,8 +8,11 @@ resume to a consistent watermark and, replaying the same feed, produce
 **exactly** the answers of a run that never crashed.
 """
 
+import base64
 import json
 import subprocess
+
+import numpy as np
 
 from shard_serve_util import (
     DEFAULTS,
@@ -18,6 +21,8 @@ from shard_serve_util import (
     feed_block,
     serve_env,
     sharded_cmd,
+    wait_exited,
+    worker_pids,
 )
 
 N_USERS = 48
@@ -216,3 +221,93 @@ def test_front_never_runs_ahead_of_the_shards(tmp_path):
     for shard_dir in shard_dirs:
         _, shard_watermark = replay_wal(shard_dir / "releases.wal")
         assert w_front <= shard_watermark
+
+
+def test_a_kill_with_two_flushes_in_flight_resumes_exactly(tmp_path):
+    """SIGKILL the front right after the first ack of 24 pipelined
+    ingests (chunk 4, a checkpoint every flush, the per-user
+    ``--no-fast`` protocol at about 25 ms a timestamp, so the worker
+    holds the next batch when flush 0 checkpoints).  On disk the front
+    watermark never exceeds the shard's WAL watermark, and the shard
+    checkpointed past ``front.json``: flush 0's checkpoint command
+    reached the worker behind the second batch.  The resumed tier skips
+    exactly the hello watermark's prefix of the replayed feed and
+    answers bit for bit like a run never killed."""
+    from repro.persist import StateDir, replay_wal
+
+    n_users, domain, steps = 10_000, 256, 24
+
+    def cmd(state_dir):
+        return sharded_cmd(
+            shards=1,
+            n_users=n_users,
+            oracle="oue",
+            domain=domain,
+            extra=(
+                "--state-dir", str(state_dir),
+                "--checkpoint-every", "1",
+                "--no-fast",
+            ),
+        )
+
+    block = feed_block(steps, n_users, domain, seed=83)
+    lines = [
+        json.dumps(
+            {
+                "op": "ingest",
+                "b64": base64.b64encode(row.astype(np.uint8)).decode(),
+                "dtype": "u1",
+            }
+        )
+        for row in block
+    ]
+    queries = [
+        {"op": "topk", "k": 4},
+        {"op": "range", "lo": 10, "hi": 90},
+        {"op": "point", "item": 7, "t": 5},
+        {"op": "sliding", "t0": 2, "t1": steps - 1, "agg": "sum", "item": 3},
+    ]
+
+    def replay(server):
+        with server.client() as client:
+            acks = [client.ask(json.loads(line)) for line in lines]
+            answers = [client.ask(query) for query in queries]
+        reply, rc = server.shutdown()
+        assert (reply["watermark"], rc) == (steps, 0)
+        return acks, answers
+
+    state = tmp_path / "crashed"
+    with ShardServerProc(cmd(state)) as server:
+        (worker,) = worker_pids(server.proc.pid)
+        with server.client(timeout=60) as client:
+            client.send_raw("\n".join(lines))
+            assert client.recv()["t"] == 0
+            server.kill()
+    # The orphaned worker serves what is left in its pipe, then exits.
+    wait_exited(worker)
+
+    w_front = json.loads((state / "front.json").read_text())["watermark"]
+    shard = StateDir(state / "shard-00")
+    _, w_shard = replay_wal(shard.wal_path)
+    w_checkpoint = shard.load_checkpoint().watermark
+    assert 0 < w_front < w_checkpoint <= w_shard, (
+        w_front,
+        w_checkpoint,
+        w_shard,
+    )
+
+    with ShardServerProc(cmd(state)) as server:
+        resumed_from = server.hello["watermark"]
+        acks, resumed_answers = replay(server)
+    assert resumed_from >= w_front
+    assert [a["t"] for a in acks if a.get("skipped")] == list(
+        range(resumed_from)
+    )
+    assert [a["t"] for a in acks if not a.get("skipped")] == list(
+        range(resumed_from, steps)
+    )
+
+    with ShardServerProc(cmd(tmp_path / "control")) as server:
+        _, control_answers = replay(server)
+    for got, want in zip(resumed_answers, control_answers):
+        assert_same_answer(got, want)

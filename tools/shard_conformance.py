@@ -22,8 +22,8 @@ enforces the two-tier contract of ``docs/SERVING.md``:
    that fit the domain), so the packed wire forms face the same check.
    Its first part is closed-loop (one ingest, one ack); its last
    ``3 * chunk + 1`` ingests, with a pinned query in their middle, are
-   written before any reply is read, so a flush is in flight while the
-   front parses the next batch.
+   written before any reply is read, so two flushes are in flight while
+   the front parses the next batch.
 
 Writes a JSON report and exits non-zero on any violation::
 
