@@ -1,4 +1,4 @@
-"""Exact JSON codec for checkpoint payloads.
+"""Exact JSON codec for checkpoint payloads and WAL release rows.
 
 Checkpoints must round-trip **bit-identically**: a single ULP of drift in
 a release vector or an accountant ledger would break the restored
@@ -105,7 +105,7 @@ def _decode_array(payload: dict) -> np.ndarray:
         raise
     except (KeyError, ValueError, TypeError) as error:
         raise CheckpointError(
-            f"corrupt array payload in checkpoint: {error}"
+            f"corrupt array payload: {error}"
         ) from error
 
 

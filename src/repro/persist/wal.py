@@ -11,8 +11,16 @@ prefix.
 Row layout (one JSON object per line)::
 
     {"op": "release", "t": 17, "strategy": "publish",
-     "release": [0.21, ...], "variance": 3.1e-05}
+     "release": {"__nd__": "<base64>", "dtype": "<f8", "shape": [d]},
+     "variance": 3.1e-05}
     {"op": "commit", "watermark": 18}
+
+The release is the float64 row in the checkpoint codec's tagged base64
+form (:mod:`repro.persist.codec`), so it round-trips bit-exactly and
+costs no per-float text formatting.  Replay still reads rows written as
+a plain JSON float list (logs from before the tagged form), also mixed
+with tagged rows in one log, and returns every release as a list of
+floats either way.
 
 Replay (:func:`replay_wal`) returns the committed prefix only and
 validates it: timestamps strictly increasing from the previous watermark,
@@ -37,13 +45,46 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import WALError
-from .codec import write_atomic
+from ..exceptions import CheckpointError, WALError
+from .codec import decode, encode, write_atomic
 
 PathLike = Union[str, Path]
 
 _OP_RELEASE = "release"
 _OP_COMMIT = "commit"
+
+
+def _release_row(t, release, strategy, variance) -> dict:
+    """One release row as written: the release in tagged base64."""
+    row = {
+        "op": _OP_RELEASE,
+        "t": int(t),
+        "strategy": str(strategy),
+        "release": encode(np.asarray(release, dtype=np.float64).ravel()),
+    }
+    if variance is not None:
+        row["variance"] = float(variance)
+    return row
+
+
+def _jsonl(rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _release_values(release) -> list:
+    """A row's release as a list of floats, from either written form;
+    ``ValueError`` when a tagged release is not a 1-D float64 row."""
+    if isinstance(release, list):
+        return release
+    if not isinstance(release, dict) or release.get("dtype") != "<f8":
+        raise ValueError(f"release is not a float64 row: {release!r:.80}")
+    try:
+        array = decode(release)
+    except CheckpointError as error:
+        raise ValueError(str(error)) from error
+    if array.ndim != 1:
+        raise ValueError(f"release has shape {list(array.shape)}, not [d]")
+    return array.tolist()
 
 
 class ReleaseWAL:
@@ -70,15 +111,7 @@ class ReleaseWAL:
         variance: Optional[float] = None,
     ) -> None:
         """Buffer one released estimate for the next :meth:`commit`."""
-        row = {
-            "op": _OP_RELEASE,
-            "t": int(t),
-            "strategy": str(strategy),
-            "release": np.asarray(release, dtype=np.float64).ravel().tolist(),
-        }
-        if variance is not None:
-            row["variance"] = float(variance)
-        self._pending.append(row)
+        self._pending.append(_release_row(t, release, strategy, variance))
 
     def commit(self, watermark: int) -> None:
         """Write buffered rows + a commit marker; flush and fsync.
@@ -86,12 +119,9 @@ class ReleaseWAL:
         ``watermark`` is the ingest high-water mark: the number of
         timestamps whose effects are durable once this commit returns.
         """
-        for row in self._pending:
-            self._handle.write(json.dumps(row) + "\n")
+        commit = {"op": _OP_COMMIT, "watermark": int(watermark)}
+        self._handle.write(_jsonl([*self._pending, commit]))
         self._pending.clear()
-        self._handle.write(
-            json.dumps({"op": _OP_COMMIT, "watermark": int(watermark)}) + "\n"
-        )
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -112,9 +142,11 @@ def replay_wal(path: PathLike) -> Tuple[List[dict], int]:
 
     ``rows`` are the release rows covered by the last commit marker, in
     timestamp order; ``watermark`` is that marker's value (0 for a
-    missing or empty log).  The committed prefix is validated —
-    undecodable lines, out-of-order timestamps, or a commit marker that
-    disagrees with its rows raise :class:`~repro.exceptions.WALError`.
+    missing or empty log); each row's release is a list of floats,
+    whichever form it was written in.  The committed prefix is
+    validated — undecodable lines (a malformed tagged release among
+    them), out-of-order timestamps, or a commit marker that disagrees
+    with its rows raise :class:`~repro.exceptions.WALError`.
     Rows after the last commit marker (including a torn partial line)
     are uncommitted and dropped.
     """
@@ -125,7 +157,8 @@ def replay_wal(path: PathLike) -> Tuple[List[dict], int]:
     watermark = 0
     tail: List[dict] = []
     last_t = -1
-    with path.open("r", encoding="utf-8") as handle:
+    # Bytes, so a line that is not UTF-8 is one more undecodable line.
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -143,7 +176,12 @@ def replay_wal(path: PathLike) -> Tuple[List[dict], int]:
             if op == _OP_COMMIT:
                 try:
                     mark = int(row["watermark"])
-                except (KeyError, TypeError, ValueError) as error:
+                except (
+                    KeyError,
+                    TypeError,
+                    ValueError,
+                    OverflowError,
+                ) as error:
                     raise WALError(
                         f"{path}: commit marker on line {lineno} lacks a "
                         f"valid watermark"
@@ -179,6 +217,11 @@ def replay_wal(path: PathLike) -> Tuple[List[dict], int]:
                         f"{path}: out-of-order release row t={t} after "
                         f"t={last_t} (line {lineno})"
                     )
+                try:
+                    row["release"] = _release_values(row.get("release"))
+                except ValueError as error:
+                    tail.append({"__malformed__": lineno, "error": str(error)})
+                    continue
                 last_t = t
                 tail.append(row)
             else:
@@ -195,13 +238,18 @@ def truncate_wal(path: PathLike, watermark: int) -> int:
     log (crash between a WAL commit and the next checkpoint write): the
     session will re-ingest and re-release those timestamps
     bit-identically, so keeping the old rows would duplicate them.  The
-    rewrite is atomic (temp file + rename) and ends with a commit marker
-    at ``watermark``.
+    rewrite is atomic (temp file + rename), writes the kept rows in the
+    tagged form whichever form they were read in, and ends with a commit
+    marker at ``watermark``.
     """
     rows, _ = replay_wal(path)
-    kept = [row for row in rows if row["t"] < watermark]
+    kept = [
+        _release_row(
+            row["t"], row["release"], row["strategy"], row.get("variance")
+        )
+        for row in rows
+        if row["t"] < watermark
+    ]
     commit = {"op": _OP_COMMIT, "watermark": int(watermark)}
-    write_atomic(
-        path, "".join(json.dumps(row) + "\n" for row in [*kept, commit])
-    )
+    write_atomic(path, _jsonl([*kept, commit]))
     return len(kept)

@@ -28,9 +28,11 @@ the conformance suite checks bit-for-bit.
 or another op arrives; the socket transport also flushes whenever its
 queue drains empty, the stdin transport at EOF.  The batch flushes to
 all shards *in parallel* (one ``observe_many`` per shard) and the merged
-rows are acknowledged per line.  Batch boundaries provably cannot change
-any result (``observe_many`` is chunk-invariant and the merge is per
-timestamp), so dynamic batching is pure throughput.  Up to two flushes
+rows are acknowledged with one write per connection per flush, that
+connection's ack lines in order; standing alerts follow, again one write
+per connection.  Batch boundaries provably cannot change any result
+(``observe_many`` is chunk-invariant and the merge is per timestamp), so
+dynamic batching is pure throughput.  Up to two flushes
 are in flight: the front sends each worker command from the event-loop
 thread without blocking on a full pipe and reads the replies on the
 loop (``loop.add_reader`` on the pipe), in command order, so each
@@ -755,7 +757,7 @@ class ShardServer:
             for (s, start_i), reply in zip(starts.items(), replies)
         }
         acks = []
-        for i in range(m):
+        for i, (_, writer) in enumerate(entries):
             t = t0 + i
             fresh = {}
             for s, (start_i, rows) in results.items():
@@ -763,20 +765,23 @@ class ShardServer:
                     fresh[s] = rows[i - start_i]
             release, variance, strategy = self._merged_row(t, fresh)
             self.merged.append(t, release, variance, strategy)
-            acks.append({"op": "ingest", "t": t, "strategy": strategy})
+            acks.append(
+                (writer, {"op": "ingest", "t": t, "strategy": strategy})
+            )
         self._flushed_chunks += 1
         if (
             self.state_root is not None
             and self._flushed_chunks % self.config.checkpoint_every == 0
         ):
             await self._checkpoint()
-        for (_, writer), ack in zip(entries, acks):
-            await self._send(writer, ack)
+        await self._send_each(acks)
         # Standing queries advance over exactly the rows this flush
         # merged; alerts go to the connection that registered them.
-        for standing, event in self.standing.poll():
-            if standing.context is not None:
-                await self._send(standing.context, event)
+        await self._send_each(
+            (standing.context, event)
+            for standing, event in self.standing.poll()
+            if standing.context is not None
+        )
 
     async def _launch(self) -> None:
         """Put the buffered batch in flight and go back to parsing.
@@ -936,12 +941,25 @@ class ShardServer:
     # ------------------------------------------------------------------
     # Asyncio front
     # ------------------------------------------------------------------
-    async def _send(self, writer, payload: dict) -> None:
+    async def _send(self, writer, *payloads: dict) -> None:
+        """Write ``payloads`` to one client as lines: one write, one
+        drain."""
         try:
-            writer.write((json.dumps(payload) + "\n").encode("utf-8"))
+            writer.write(
+                "".join(json.dumps(p) + "\n" for p in payloads).encode("utf-8")
+            )
             await writer.drain()
         except (ConnectionError, RuntimeError):
             pass  # client went away; its acks are moot
+
+    async def _send_each(self, pairs) -> None:
+        """Send ``(writer, payload)`` pairs with one :meth:`_send` per
+        writer, each writer's payloads in order."""
+        grouped: Dict[object, list] = {}
+        for writer, payload in pairs:
+            grouped.setdefault(writer, []).append(payload)
+        for writer, payloads in grouped.items():
+            await self._send(writer, *payloads)
 
     async def _handle_client(self, reader, writer) -> None:
         self._clients[writer] = asyncio.current_task()

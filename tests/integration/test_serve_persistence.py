@@ -22,6 +22,7 @@ import pytest
 from repro.cli import main
 from repro.exceptions import CheckpointError, WALError
 from repro.persist import replay_wal
+from repro.persist.codec import decode
 from repro.persist.statedir import WAL_FILE
 from repro.serving import ServeConfig, ShardServer, shard_state_dir
 
@@ -169,6 +170,46 @@ class TestMidChunkEOF:
         rows, watermark = replay_wal(_wal_path(state))
         assert watermark == 9
         assert [row["t"] for row in rows] == list(range(9))
+
+
+class TestListFormWAL:
+    def test_a_list_form_wal_rebuilds_the_front_exactly(self, tmp_path):
+        """A shard WAL whose rows hold JSON float lists (the form
+        written before releases were tagged base64) resumes exactly
+        once.  The state dir is the one a crash between the shard's
+        checkpoint and ``front.json`` leaves: the front at 6, the shard
+        at 9, so the front rebuilds t = 6..8 from those list rows."""
+        state = tmp_path / "state"
+        queries = [
+            json.dumps({"op": "sliding", "t0": 0, "t1": 11, "agg": "sum",
+                        "item": 1}),
+            json.dumps({"op": "topk", "k": 2}),
+        ]
+        assert _run(_serve_cmd(state), _ingests(6)).returncode == 0
+        front = (state / "front.json").read_bytes()
+        assert _run(_serve_cmd(state), _ingests(9)).returncode == 0
+        (state / "front.json").write_bytes(front)
+        wal = _wal_path(state)
+        lines = []
+        for line in wal.read_text().splitlines():
+            row = json.loads(line)
+            if row["op"] == "release":
+                row["release"] = decode(row["release"]).tolist()
+            lines.append(json.dumps(row) + "\n")
+        wal.write_text("".join(lines))
+
+        proc = _run(_serve_cmd(state), _ingests(12) + queries)
+        assert proc.returncode == 0, proc.stderr
+        out = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [obj["t"] for obj in out if obj.get("skipped")] == list(
+            range(9)
+        )
+        control = tmp_path / "control"
+        want = _run(_serve_cmd(control), _ingests(12) + queries)
+        assert want.returncode == 0, want.stderr
+        assert out[9:] == [json.loads(line)
+                           for line in want.stdout.splitlines()][9:]
+        assert replay_wal(wal) == replay_wal(_wal_path(control))
 
 
 class TestAckAfterDurable:

@@ -6,12 +6,14 @@ state dir must continue exactly like one that never stopped; a resume
 under another configuration must be refused, naming the keys.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, InvalidParameterError
 from repro.persist import DurableSession, replay_wal
-from repro.persist.codec import write_atomic
+from repro.persist.codec import decode, write_atomic
 from repro.persist.statedir import WAL_FILE, check_config
 from repro.query.store import ReleaseStore
 
@@ -83,6 +85,34 @@ def test_reopen_continues_like_an_uninterrupted_session(tmp_path, store):
     assert replay_wal(tmp_path / "state" / WAL_FILE) == replay_wal(
         tmp_path / "reference" / WAL_FILE
     )
+
+
+def test_a_wal_in_the_list_form_resumes_exactly_once(tmp_path):
+    """A state dir whose WAL rows hold JSON float lists (as written
+    before releases were tagged base64) resumes like any other: the
+    reopened session continues like an uninterrupted one, and the log
+    it leaves replays to the same rows, now all tagged."""
+    blocks = _blocks(5)
+    with _open(tmp_path / "reference", store=True) as durable:
+        reference = _ingest(durable, blocks)
+    state = tmp_path / "state"
+    with _open(state, store=True) as durable:
+        _ingest(durable, blocks[:3])
+    wal = state / WAL_FILE
+    lines = []
+    for line in wal.read_text().splitlines():
+        row = json.loads(line)
+        if row["op"] == "release":
+            row["release"] = decode(row["release"]).tolist()
+        lines.append(json.dumps(row) + "\n")
+    wal.write_text("".join(lines))
+    assert '"release": [' in wal.read_text()
+    with _open(state, store=True) as durable:
+        assert durable.watermark == 6
+        resumed = _ingest(durable, blocks, start=2)
+    _rows_equal(resumed, reference[6:])
+    assert replay_wal(wal) == replay_wal(tmp_path / "reference" / WAL_FILE)
+    assert '"release": [' not in wal.read_text()
 
 
 def test_rows_carry_variance_only_with_a_store(tmp_path):

@@ -8,12 +8,14 @@ truncating the WAL to the checkpoint watermark.
 """
 
 import json
+import string
 
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, WALError
 from repro.persist import ReleaseWAL, StateDir, replay_wal, truncate_wal
+from repro.persist.codec import decode
 
 
 def _wal(tmp_path, name="log.wal"):
@@ -42,27 +44,25 @@ class TestCommitReplay:
 
     @pytest.mark.parametrize("as_list", [False, True])
     def test_release_row_text_is_pinned(self, tmp_path, as_list):
-        """Edge floats encode exactly as the per-element ``float(v)``
-        form did, so the log's bytes do not depend on how the row was
-        converted."""
+        """A release is written as the float64 row in the checkpoint
+        codec's tagged base64 form, whether it came in as a list or a
+        ``(1, n)`` array, and edge floats replay bit for bit."""
         values = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 1 / 3]
         release = values if as_list else np.array(values).reshape(1, -1)
         path = _wal(tmp_path)
         with ReleaseWAL(path) as wal:
             wal.append(0, release, "publish")
             wal.commit(1)
-        old_form = {
-            "op": "release",
-            "t": 0,
-            "strategy": "publish",
-            "release": [float(v) for v in np.asarray(release).ravel()],
-        }
         row = path.read_text().splitlines()[0]
-        assert row == json.dumps(old_form)
-        assert row.endswith(
-            '"release": [-0.0, 5e-324, 1e+308, NaN, Infinity, '
-            '-Infinity, 0.3333333333333333]}'
+        assert row == (
+            '{"op": "release", "t": 0, "strategy": "publish", '
+            '"release": {"__nd__": "AAAAAAAAAIABAAAAAAAAAKDI64XzzOF/'
+            'AAAAAAAA+H8AAAAAAADwfwAAAAAAAPD/VVVVVVVV1T8=", '
+            '"dtype": "<f8", "shape": [7]}}'
         )
+        rows, _ = replay_wal(path)
+        replayed = np.array(rows[0]["release"], dtype=np.float64)
+        assert replayed.tobytes() == np.array(values).tobytes()
 
     def test_commits_accumulate(self, tmp_path):
         path = _wal(tmp_path)
@@ -218,6 +218,120 @@ class TestTruncate:
         assert truncate_wal(path, 0) == 0
         assert path.exists()
         assert replay_wal(path) == ([], 0)
+
+
+def _list_form(path):
+    """Rewrite a log's releases as JSON float lists: the form every
+    release row took before the tagged base64 one."""
+    lines = []
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        if row["op"] == "release":
+            row["release"] = decode(row["release"]).tolist()
+        lines.append(json.dumps(row) + "\n")
+    path.write_text("".join(lines))
+
+
+def _write_rows(path, releases, *, start=0):
+    with ReleaseWAL(path) as wal:
+        for t, release in enumerate(releases, start=start):
+            wal.append(t, release, "publish", variance=0.5 * t)
+            wal.commit(t + 1)
+
+
+RELEASES = [[0.1 * t, 1 / 3, -0.0, 1.0 - t] for t in range(5)]
+
+
+class TestListFormRows:
+    """Logs written before the tagged form still replay, alone or with
+    tagged rows appended after them."""
+
+    def test_a_list_form_log_then_tagged_rows_replays_in_order(
+        self, tmp_path
+    ):
+        reference = _wal(tmp_path, "reference.wal")
+        _write_rows(reference, RELEASES)
+        path = _wal(tmp_path)
+        _write_rows(path, RELEASES[:3])
+        _list_form(path)
+        _write_rows(path, RELEASES[3:], start=3)
+        text = path.read_text()
+        assert text.count('"release": [') == 3
+        assert text.count('"__nd__"') == 2
+        assert replay_wal(path) == replay_wal(reference)
+        rows, _ = replay_wal(path)
+        assert [row["release"] for row in rows] == RELEASES
+
+    def test_truncate_rewrites_list_rows_in_the_tagged_form(self, tmp_path):
+        reference = _wal(tmp_path, "reference.wal")
+        with ReleaseWAL(reference) as wal:
+            for t, release in enumerate(RELEASES[:4]):
+                wal.append(t, release, "publish", variance=0.5 * t)
+            wal.commit(4)
+        path = _wal(tmp_path)
+        _write_rows(path, RELEASES)
+        _list_form(path)
+        assert truncate_wal(path, 4) == 4
+        assert path.read_text() == reference.read_text()
+
+
+def _outside_base64(payload):
+    """Flip one bit of the first character so it leaves the alphabet."""
+    alphabet = (string.ascii_letters + string.digits + "+/=").encode()
+    for bit in range(7):
+        flipped = payload[0] ^ (1 << bit)
+        if 0x20 < flipped < 0x7F and flipped not in alphabet + b'"\\':
+            return bytes([flipped]) + payload[1:]
+    raise AssertionError(f"no such flip of {payload[:1]!r}")
+
+
+#: Ways a tagged release can be damaged, applied to its row's bytes.
+CORRUPTIONS = {
+    "bit flipped out of the alphabet": lambda row: _in_payload(
+        row, _outside_base64
+    ),
+    "high bit flipped": lambda row: _in_payload(
+        row, lambda p: bytes([p[0] ^ 0x80]) + p[1:]
+    ),
+    "one character short": lambda row: _in_payload(row, lambda p: p[:-1]),
+    "four characters short": lambda row: _in_payload(row, lambda p: p[4:]),
+    "int64 dtype": lambda row: row.replace(b'"<f8"', b'"<i8"'),
+    "two-dimensional shape": lambda row: row.replace(b"[4]", b"[2, 2]"),
+}
+
+
+def _in_payload(row, damage):
+    head, rest = row.split(b'"__nd__": "', 1)
+    payload, tail = rest.split(b'"', 1)
+    return head + b'"__nd__": "' + damage(payload) + b'"' + tail
+
+
+class TestCorruptTaggedRelease:
+    """A damaged tagged release is corruption inside the committed
+    prefix and a torn row in the uncommitted tail."""
+
+    def _damaged(self, tmp_path, corruption, *, committed):
+        path = _wal(tmp_path)
+        _write_rows(path, RELEASES[:2])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = CORRUPTIONS[corruption](lines[2])
+        if not committed:
+            lines.pop()
+        path.write_bytes(b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_inside_the_committed_prefix_raises(self, tmp_path, corruption):
+        path = self._damaged(tmp_path, corruption, committed=True)
+        with pytest.raises(WALError, match="undecodable line 3"):
+            replay_wal(path)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_in_the_uncommitted_tail_is_dropped(self, tmp_path, corruption):
+        path = self._damaged(tmp_path, corruption, committed=False)
+        rows, watermark = replay_wal(path)
+        assert [row["t"] for row in rows] == [0]
+        assert watermark == 1
 
 
 class TestStateDir:

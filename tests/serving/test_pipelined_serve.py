@@ -17,21 +17,30 @@ reply is read.  They pin the rules that keep that exact:
   the server exits 2;
 * lines a client writes after ``shutdown`` do not reset its connection:
   it reads its answers, then EOF;
+* a flush writes each connection's acks, then its standing alerts, in
+  one write, and a client gone mid-flush does not stop the others' acks;
 * a request line is limited by the longest valid ingest for the
   population, not by asyncio's 64 KiB default, and a longer line earns
   an error line without ending its connection.
 """
 
+import asyncio
 import base64
 import json
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.serving.server import LINE_LIMIT_USERS, _WorkerHandle, line_limit
+from repro.serving.server import (
+    LINE_LIMIT_USERS,
+    ShardServer,
+    _WorkerHandle,
+    line_limit,
+)
 from shard_serve_util import (
     DEFAULTS,
     InProcessServer,
@@ -265,6 +274,148 @@ def test_lines_after_shutdown_do_not_reset_the_connection():
             {"op": "ingest", "t": 0, "strategy": lines[0]["strategy"]},
             {"op": "shutdown", "watermark": 1},
         ]
+
+
+class _HeldQuery:
+    """Holds the dispatcher inside the answer to one query until
+    :meth:`release`, so that lines from several clients queue up behind
+    it and then form one batch."""
+
+    def __init__(self, monkeypatch):
+        self.fronts = []
+        self._released = threading.Event()
+        original = ShardServer._answer
+
+        async def held(front, request):
+            self.fronts.append(front)
+            while not self._released.is_set():
+                await asyncio.sleep(0.005)
+            return await original(front, request)
+
+        monkeypatch.setattr(ShardServer, "_answer", held)
+
+    def wait(self, predicate, timeout=30):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "the server never got there"
+            time.sleep(0.005)
+
+    def queued(self, n):
+        """Until the held dispatcher has ``n`` lines queued behind it."""
+        self.wait(lambda: self.fronts and self.fronts[0]._queue.qsize() == n)
+
+    def release(self):
+        self._released.set()
+
+
+def test_clients_sharing_a_batch_each_get_their_own_acks(monkeypatch):
+    """Client A registers a standing query that alerts on every
+    timestamp; then A's two ingests and B's two queue up behind a held
+    query and go out as one batch of four.  Each client reads exactly
+    its own acks, in order, and A's alerts follow its acks."""
+    held = _HeldQuery(monkeypatch)
+    block = feed_block(5, N_USERS, DEFAULTS["domain"], seed=73)
+    with InProcessServer(serve_config(shards=1, n_users=N_USERS)) as server:
+        with server.client(timeout=30) as a, server.client(timeout=30) as b:
+            assert a.ask(_ingest(block[0]))["t"] == 0
+            a.ask(
+                {
+                    "op": "standing",
+                    "action": "register",
+                    "id": "every",
+                    "expr": "threshold(point(0) > -1000000)",
+                }
+            )
+            a.send({"op": "point", "item": 0})
+            held.wait(lambda: held.fronts)
+            for row in block[1:3]:
+                a.send(_ingest(row))
+            held.queued(2)
+            for row in block[3:]:
+                b.send(_ingest(row))
+            held.queued(4)
+            held.release()
+            assert a.recv()["as_of"] == 0
+            a_lines = [a.recv() for _ in range(2 + 4)]
+            b_lines = [b.recv() for _ in range(2)]
+        _, rc = server.shutdown()
+    assert rc == 0
+    assert [(line["op"], line["t"]) for line in a_lines[:2]] == [
+        ("ingest", 1),
+        ("ingest", 2),
+    ]
+    assert [(line["event"], line["t"]) for line in a_lines[2:]] == [
+        ("alert", t) for t in range(1, 5)
+    ]
+    assert [(line["op"], line["t"]) for line in b_lines] == [
+        ("ingest", 3),
+        ("ingest", 4),
+    ]
+
+
+def test_a_client_gone_mid_flush_does_not_stop_the_others(monkeypatch):
+    """B's two ingests share a batch with A's two, and B hangs up
+    before the batch is acked: A still reads both its acks, and the
+    server goes on serving it."""
+    held = _HeldQuery(monkeypatch)
+    block = feed_block(6, N_USERS, DEFAULTS["domain"], seed=75)
+    with InProcessServer(serve_config(shards=1, n_users=N_USERS)) as server:
+        with server.client(timeout=30) as a:
+            assert a.ask(_ingest(block[0]))["t"] == 0
+            a.send({"op": "point", "item": 0})
+            held.wait(lambda: held.fronts)
+            for row in block[1:3]:
+                a.send(_ingest(row))
+            held.queued(2)
+            with server.client(timeout=30) as b:
+                for row in block[3:5]:
+                    b.send(_ingest(row))
+                held.queued(4)
+            held.wait(lambda: len(held.fronts[0]._clients) == 1)
+            held.release()
+            assert a.recv()["as_of"] == 0
+            assert [a.recv()["t"] for _ in range(2)] == [1, 2]
+            assert a.ask(_ingest(block[5]))["t"] == 5
+        reply, rc = server.shutdown()
+    assert (reply["watermark"], rc) == (6, 0)
+
+
+def test_a_full_batch_is_acked_in_one_write(monkeypatch):
+    """16 ingests from one connection, queued behind a held query, go
+    out as one batch at ``--chunk 16``, and their 16 acks reach the
+    transport in a single ``write``."""
+    held = _HeldQuery(monkeypatch)
+    writes = []
+    original = asyncio.StreamWriter.write
+
+    def recording_write(writer, data):
+        writes.append(data)
+        return original(writer, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+    block = feed_block(17, N_USERS, DEFAULTS["domain"], seed=77)
+    with InProcessServer(
+        serve_config(shards=1, n_users=N_USERS, chunk=16)
+    ) as server:
+        with server.client(timeout=30) as client:
+            assert client.ask(_b64_ingest(block[0]))["t"] == 0
+            client.send({"op": "point", "item": 0})
+            held.wait(lambda: held.fronts)
+            client.send_raw(
+                "\n".join(
+                    json.dumps(_b64_ingest(row)) for row in block[1:]
+                )
+            )
+            held.queued(16)
+            held.release()
+            assert client.recv()["as_of"] == 0
+            assert [client.recv()["t"] for _ in range(16)] == list(
+                range(1, 17)
+            )
+        _, rc = server.shutdown()
+    assert rc == 0
+    acks = [data for data in writes if b'"op": "ingest"' in data]
+    assert [data.count(b"\n") for data in acks] == [1, 16]
 
 
 @pytest.mark.parametrize("n_users", [60_000, None])
