@@ -82,8 +82,8 @@ def _release_values(release) -> list:
         array = decode(release)
     except CheckpointError as error:
         raise ValueError(str(error)) from error
-    if array.ndim != 1:
-        raise ValueError(f"release has shape {list(array.shape)}, not [d]")
+    if not isinstance(array, np.ndarray) or array.ndim != 1:
+        raise ValueError(f"release is not a 1-D array: {release!r:.80}")
     return array.tolist()
 
 

@@ -295,6 +295,7 @@ CORRUPTIONS = {
     ),
     "one character short": lambda row: _in_payload(row, lambda p: p[:-1]),
     "four characters short": lambda row: _in_payload(row, lambda p: p[4:]),
+    "tag bit flipped": lambda row: row.replace(b'"__nd__"', b'"^_nd__"'),
     "int64 dtype": lambda row: row.replace(b'"<f8"', b'"<i8"'),
     "two-dimensional shape": lambda row: row.replace(b"[4]", b"[2, 2]"),
 }
