@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.persist.codec import decode
 from repro.streams import BinaryStream, MaterializedStream, make_lns, make_sin
 
 
@@ -38,3 +41,20 @@ def constant_stream():
     """A stream whose histogram never changes (p = 0.2)."""
     probs = np.full(30, 0.2)
     return BinaryStream(probs, n_users=2_000, seed=3, name="const")
+
+
+@pytest.fixture
+def to_list_form():
+    """Rewrite a WAL's releases as JSON float lists: the form every
+    release row took before the tagged base64 one."""
+
+    def rewrite(path):
+        lines = []
+        for line in path.read_text().splitlines():
+            row = json.loads(line)
+            if row["op"] == "release":
+                row["release"] = decode(row["release"]).tolist()
+            lines.append(json.dumps(row) + "\n")
+        path.write_text("".join(lines))
+
+    return rewrite

@@ -22,7 +22,6 @@ import pytest
 from repro.cli import main
 from repro.exceptions import CheckpointError, WALError
 from repro.persist import replay_wal
-from repro.persist.codec import decode
 from repro.persist.statedir import WAL_FILE
 from repro.serving import ServeConfig, ShardServer, shard_state_dir
 
@@ -173,7 +172,9 @@ class TestMidChunkEOF:
 
 
 class TestListFormWAL:
-    def test_a_list_form_wal_rebuilds_the_front_exactly(self, tmp_path):
+    def test_a_list_form_wal_rebuilds_the_front_exactly(
+        self, tmp_path, to_list_form
+    ):
         """A shard WAL whose rows hold JSON float lists (the form
         written before releases were tagged base64) resumes exactly
         once.  The state dir is the one a crash between the shard's
@@ -190,13 +191,7 @@ class TestListFormWAL:
         assert _run(_serve_cmd(state), _ingests(9)).returncode == 0
         (state / "front.json").write_bytes(front)
         wal = _wal_path(state)
-        lines = []
-        for line in wal.read_text().splitlines():
-            row = json.loads(line)
-            if row["op"] == "release":
-                row["release"] = decode(row["release"]).tolist()
-            lines.append(json.dumps(row) + "\n")
-        wal.write_text("".join(lines))
+        to_list_form(wal)
 
         proc = _run(_serve_cmd(state), _ingests(12) + queries)
         assert proc.returncode == 0, proc.stderr

@@ -6,14 +6,12 @@ state dir must continue exactly like one that never stopped; a resume
 under another configuration must be refused, naming the keys.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, InvalidParameterError
 from repro.persist import DurableSession, replay_wal
-from repro.persist.codec import decode, write_atomic
+from repro.persist.codec import write_atomic
 from repro.persist.statedir import WAL_FILE, check_config
 from repro.query.store import ReleaseStore
 
@@ -87,7 +85,7 @@ def test_reopen_continues_like_an_uninterrupted_session(tmp_path, store):
     )
 
 
-def test_a_wal_in_the_list_form_resumes_exactly_once(tmp_path):
+def test_a_wal_in_the_list_form_resumes_exactly_once(tmp_path, to_list_form):
     """A state dir whose WAL rows hold JSON float lists (as written
     before releases were tagged base64) resumes like any other: the
     reopened session continues like an uninterrupted one, and the log
@@ -99,13 +97,7 @@ def test_a_wal_in_the_list_form_resumes_exactly_once(tmp_path):
     with _open(state, store=True) as durable:
         _ingest(durable, blocks[:3])
     wal = state / WAL_FILE
-    lines = []
-    for line in wal.read_text().splitlines():
-        row = json.loads(line)
-        if row["op"] == "release":
-            row["release"] = decode(row["release"]).tolist()
-        lines.append(json.dumps(row) + "\n")
-    wal.write_text("".join(lines))
+    to_list_form(wal)
     assert '"release": [' in wal.read_text()
     with _open(state, store=True) as durable:
         assert durable.watermark == 6

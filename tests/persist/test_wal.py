@@ -15,7 +15,6 @@ import pytest
 
 from repro.exceptions import CheckpointError, WALError
 from repro.persist import ReleaseWAL, StateDir, replay_wal, truncate_wal
-from repro.persist.codec import decode
 
 
 def _wal(tmp_path, name="log.wal"):
@@ -220,18 +219,6 @@ class TestTruncate:
         assert replay_wal(path) == ([], 0)
 
 
-def _list_form(path):
-    """Rewrite a log's releases as JSON float lists: the form every
-    release row took before the tagged base64 one."""
-    lines = []
-    for line in path.read_text().splitlines():
-        row = json.loads(line)
-        if row["op"] == "release":
-            row["release"] = decode(row["release"]).tolist()
-        lines.append(json.dumps(row) + "\n")
-    path.write_text("".join(lines))
-
-
 def _write_rows(path, releases, *, start=0):
     with ReleaseWAL(path) as wal:
         for t, release in enumerate(releases, start=start):
@@ -247,13 +234,13 @@ class TestListFormRows:
     tagged rows appended after them."""
 
     def test_a_list_form_log_then_tagged_rows_replays_in_order(
-        self, tmp_path
+        self, tmp_path, to_list_form
     ):
         reference = _wal(tmp_path, "reference.wal")
         _write_rows(reference, RELEASES)
         path = _wal(tmp_path)
         _write_rows(path, RELEASES[:3])
-        _list_form(path)
+        to_list_form(path)
         _write_rows(path, RELEASES[3:], start=3)
         text = path.read_text()
         assert text.count('"release": [') == 3
@@ -262,7 +249,9 @@ class TestListFormRows:
         rows, _ = replay_wal(path)
         assert [row["release"] for row in rows] == RELEASES
 
-    def test_truncate_rewrites_list_rows_in_the_tagged_form(self, tmp_path):
+    def test_truncate_rewrites_list_rows_in_the_tagged_form(
+        self, tmp_path, to_list_form
+    ):
         reference = _wal(tmp_path, "reference.wal")
         with ReleaseWAL(reference) as wal:
             for t, release in enumerate(RELEASES[:4]):
@@ -270,7 +259,7 @@ class TestListFormRows:
             wal.commit(4)
         path = _wal(tmp_path)
         _write_rows(path, RELEASES)
-        _list_form(path)
+        to_list_form(path)
         assert truncate_wal(path, 4) == 4
         assert path.read_text() == reference.read_text()
 
