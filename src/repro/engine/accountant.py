@@ -118,43 +118,23 @@ class WEventAccountant:
                 f"{touched_max:.6f} > epsilon={self.epsilon:.6f} (w={self.window})"
             )
 
-    def charge_many(self, ts: "Sequence[int]", epsilon) -> None:
-        """Charge *everyone* at each of several timestamps.
+    def charge_many(self, ts: "Sequence[int]", epsilon: float) -> None:
+        """Charge *everyone* ``epsilon`` at each of several timestamps.
 
-        ``epsilon`` is either a scalar (every timestamp charges the same
-        budget — the uniform mechanisms' case) or a sequence aligned
-        with ``ts`` (non-uniform spend — e.g. a speculative adaptive
-        kernel committing a run of dissimilarity rounds capped by one
-        publication round; a timestamp may then repeat, carrying its M1
-        and M2 charges back to back, exactly as the per-step path would
-        issue them).
-
-        Equivalent to ``charge(t, None, eps_t)`` for each ``t`` of the
+        Equivalent to ``charge(t, None, epsilon)`` for each ``t`` of the
         non-descending ``ts`` — same ledger state, same
         ``max_window_spend``, same violation raised at the same
         timestamp — but executed as one tight scalar loop while the
         ledger is uniform.  This is the accountant's bulk-ingestion
-        kernel: budget-division mechanisms charge the whole population
-        once per timestamp, so a chunk's accounting collapses to
-        O(chunk) scalar arithmetic with no per-charge method dispatch.
+        kernel: the uniform budget-division mechanisms charge the whole
+        population once per timestamp, so a chunk's accounting collapses
+        to O(chunk) scalar arithmetic with no per-charge method dispatch.
         """
-        eps_seq = None
-        if not isinstance(epsilon, (int, float)):
-            eps_seq = [float(e) for e in epsilon]
-            if len(eps_seq) != len(ts):
-                raise InvalidParameterError(
-                    f"epsilon sequence must align with ts: "
-                    f"{len(eps_seq)} budgets for {len(ts)} timestamps"
-                )
         if not self._uniform:
-            if eps_seq is None:
-                for t in ts:
-                    self.charge(t, None, epsilon)
-            else:
-                for t, eps_t in zip(ts, eps_seq):
-                    self.charge(t, None, eps_t)
+            for t in ts:
+                self.charge(t, None, epsilon)
             return
-        if eps_seq is None and epsilon < 0:
+        if epsilon < 0:
             raise InvalidParameterError(f"cannot charge negative budget {epsilon}")
         spend = self._uniform_spend
         current_t = self._current_t
@@ -163,12 +143,7 @@ class WEventAccountant:
         limit = self.epsilon + _TOLERANCE
         count = 0
         try:
-            for i, t in enumerate(ts):
-                eps_t = epsilon if eps_seq is None else eps_seq[i]
-                if eps_t < 0:
-                    raise InvalidParameterError(
-                        f"cannot charge negative budget {eps_t}"
-                    )
+            for t in ts:
                 if t < current_t:
                     raise InvalidParameterError(
                         f"accountant charges must be time-ordered; got "
@@ -183,10 +158,10 @@ class WEventAccountant:
                     evicted = True
                 if evicted and spend < 0.0:
                     spend = 0.0
-                if eps_t == 0:
+                if epsilon == 0:
                     continue
-                spend += eps_t
-                charges.append((t, None, float(eps_t)))
+                spend += epsilon
+                charges.append((t, None, float(epsilon)))
                 count += 1
                 if spend > max_spend:
                     max_spend = spend

@@ -452,79 +452,6 @@ class ChunkContext:
         )
 
     # ------------------------------------------------------------------
-    # Speculative execution (LBD's adaptive budget kernel)
-    # ------------------------------------------------------------------
-    def rng_checkpoint(self):
-        """Raw bit-generator state of the shared session generator.
-
-        Cheap in-memory capture for speculative draws; restore with
-        :meth:`rng_restore`.  (The JSON-safe persist layer uses
-        :func:`repro.rng.capture_rng_state` instead.)
-        """
-        return self._collector.rng.bit_generator.state
-
-    def rng_restore(self, state) -> None:
-        """Rewind the shared generator to a :meth:`rng_checkpoint`."""
-        self._collector.rng.bit_generator.state = state
-
-    def speculate_run(self, epsilon, offsets) -> np.ndarray:
-        """Draw all-user FO rounds at the given ascending offsets —
-        **draws only**, no accounting.
-
-        Returns the ``(k, d)`` frequency estimates.  The draws consume
-        the shared generator exactly as per-step :meth:`collect` calls
-        at the same timestamps would (order-preserving run samplers;
-        their element order also guarantees that the first ``j`` rounds
-        of a longer speculation consume the same bitstream as a
-        ``j``-round one, which is what makes discard-and-replay exact).
-        A speculating kernel must pair every kept round with
-        :meth:`commit_run` charges, and must
-        :meth:`rng_restore`-discard every round it does not keep.
-        """
-        collector = self._collector
-        d = self.domain_size
-        offsets = list(offsets)
-        counts = self.counts()[np.asarray(offsets, dtype=np.int64)]
-        if collector.fast:
-            return collector.run_sampler(epsilon)(counts, collector.rng)
-        block = self.values_block()
-        estimates = []
-        for off in offsets:
-            reports = collector.oracle.perturb(
-                block[off], d, epsilon, rng=collector.rng
-            )
-            estimates.append(
-                collector.oracle.aggregate(reports, d, epsilon).frequencies
-            )
-        return (
-            np.stack(estimates)
-            if estimates
-            else np.empty((0, d), dtype=np.float64)
-        )
-
-    def commit_run(self, epsilon, offsets) -> None:
-        """Charge and meter previously speculated all-user rounds.
-
-        ``epsilon`` is a scalar or a per-round sequence; ``offsets`` are
-        non-descending and may repeat a timestamp (an M1 round and its
-        publication round charge back to back, as the per-step path
-        would).  The final ledger state, report counter and any
-        violation raised are identical to the per-step path's; only the
-        failure *timing* differs — the committed rounds' draws already
-        happened, so a violation raises after them instead of
-        interleaved, the mirror image of :meth:`Collector.collect_run`'s
-        charges-before-draws deviation.  Either way the session is left
-        mid-step and unusable.
-        """
-        collector = self._collector
-        offsets = list(offsets)
-        if collector.accountant is not None:
-            collector.accountant.charge_many(
-                [self.t0 + off for off in offsets], epsilon
-            )
-        collector.total_reports += self.n_users * len(offsets)
-
-    # ------------------------------------------------------------------
     # Prepared per-round collection (adaptive population kernels: LPD/LPA)
     # ------------------------------------------------------------------
     def round_collector(self, epsilon: float):
@@ -582,10 +509,10 @@ class ChunkContext:
         collector-level :meth:`Collector.round_sampler` memo (the
         adaptive budget mechanisms cycle through one M1 budget and a
         handful of publication budgets, so the memo persists across
-        chunks, not just within one).  This is LBA's whole chunk kernel
-        and the sequential mode of LBD's hybrid one: when publications
-        are frequent, speculation would discard most of its lookahead,
-        so the kernel runs rounds one at a time with zero wasted draws.
+        chunks, not just within one).  This closure is the whole chunk
+        kernel of both adaptive budget mechanisms, LBD and LBA: an M2
+        round depends on the M1 round before it, so their rounds run one
+        at a time.
         """
         collector = self._collector
         accountant = collector.accountant

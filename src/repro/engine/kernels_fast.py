@@ -1,15 +1,13 @@
 """Shared numpy kernels for the SoA hot loops.
 
 The structure-of-arrays scheduler (:mod:`repro.engine.soa`) and the
-chunked collector spend most of their time in three tight loops:
+chunked collector spend most of their time in two tight loops:
 
 ``block_histograms``   per-round exact histograms over a values block
                        (the shared truth/counts pass every session reads;
                        one bincount per row)
 ``debias_rows``        the oracle debias affine map applied to a block of
                        perturbed support counts
-``first_exceed``       LBD's speculative-replay decision scan (first
-                       round whose dissimilarity exceeds its error bound)
 
 Each is a short vectorized numpy expression.  No RNG ever runs here:
 perturbation *draws* come from each session's private
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["backend", "block_histograms", "debias_rows", "first_exceed"]
+__all__ = ["backend", "block_histograms", "debias_rows"]
 
 
 def block_histograms(block: np.ndarray, domain_size: int) -> np.ndarray:
@@ -50,12 +48,6 @@ def debias_rows(
     perturbation draw, in the same elementwise evaluation order.
     """
     return (supports / n_reports[:, None] - q) / (p - q)
-
-
-def first_exceed(dissimilarity: np.ndarray, error: np.ndarray) -> int:
-    """First index with ``dissimilarity > error``, or ``-1`` if none."""
-    hits = np.nonzero(dissimilarity > error)[0]
-    return int(hits[0]) if hits.size else -1
 
 
 def backend() -> str:

@@ -240,11 +240,10 @@ class StreamSession:
         :meth:`~repro.mechanisms.base.StreamMechanism.step_many` over
         one prefetched value block.  The non-adaptive kernels batch
         their collection rounds through the oracles' order-preserving
-        run samplers; LBD's kernel speculatively batches M1 rounds and
-        rewinds/replays the generator around publications; LBA and the
-        adaptive population kernels (LPD/LPA) run a streamlined
-        per-round loop (LPD/LPA's pool draws interleave with oracle
-        draws); mechanisms without a kernel run the base
+        run samplers; the adaptive kernels (LBD/LBA, LPD/LPA) run a
+        streamlined per-round loop, because each publish decision needs
+        the round before it (and LPD/LPA's pool draws interleave with
+        oracle draws); mechanisms without a kernel run the base
         per-step loop.  What changes is the per-timestamp interpreter
         overhead: truth histograms, collection rounds and trace/store
         bookkeeping are amortised across the chunk (see
@@ -252,8 +251,8 @@ class StreamSession:
         ``docs/ARCHITECTURE.md``, "Bulk ingestion").
 
         ``t0`` defaults to the next expected timestamp (and must equal
-        it when given).  ``n`` defaults to the rest of the session's
-        horizon; a chunk reaching beyond the horizon is clamped to it,
+        it when given).  ``n`` (an ``int`` or numpy integer, not a
+        ``bool``) defaults to the rest of the session's horizon; a chunk reaching beyond the horizon is clamped to it,
         so callers may loop ``observe_many(n=chunk)`` without sizing the
         final partial chunk — but ingesting *at* the horizon raises,
         exactly like :meth:`observe`.
@@ -288,6 +287,10 @@ class StreamSession:
                     "horizon"
                 )
             n = limit - t0
+        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise InvalidParameterError(
+                f"chunk size must be an integer, got {n!r}"
+            )
         n = int(n)
         if n < 0:
             raise InvalidParameterError(

@@ -97,14 +97,11 @@ class StreamMechanism(abc.ABC):
         :class:`~repro.engine.collector.ChunkContext` run primitives.
         The non-adaptive ones (LBU/LSP/LPU) batch a whole chunk's rounds
         through :meth:`ChunkContext.collect_run`, since their collection
-        schedule is a pure function of the timestamp.  LBD *speculates*
-        on quiet stretches: batch-draw a lookahead of M1 rounds, scan
-        the publish decisions closed-form, and rewind/replay the
-        generator when a publication invalidates the speculated tail.
-        LBA runs a sequential loop over
-        :meth:`ChunkContext.budget_round_runner` (it publishes too often
-        for lookahead to pay).  The adaptive population methods (LPD/LPA)
-        run a streamlined sequential loop over
+        schedule is a pure function of the timestamp.  The adaptive
+        budget methods (LBD/LBA) run a sequential loop over
+        :meth:`ChunkContext.budget_round_runner` (each publish decision
+        needs the M1 round before it).  The adaptive population methods
+        (LPD/LPA) run a streamlined sequential loop over
         :meth:`ChunkContext.round_collector` (pool draws interleave with
         oracle draws, so rounds cannot be batched — the win is hoisted
         dispatch).

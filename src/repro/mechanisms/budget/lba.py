@@ -118,16 +118,13 @@ class LBA(StreamMechanism):
         :meth:`~repro.engine.collector.ChunkContext.budget_round_runner`
         (oracle setup hoisted out of the loop) and mirrors :meth:`step`
         decision for decision: nullify, absorb, publish or approximate.
-        Unlike LBD there is no speculative mode: every skipped step
-        grows the absorbable budget, which shrinks ``err`` until a
-        publication fires, so LBA never stays quiet long enough for
-        batched lookahead draws to pay.
         """
         length = ctx.length
         if length == 0:
             return []
         records: List[StepRecord] = []
         n_users = ctx.n_users
+        d = ctx.domain_size
         t0 = ctx.t0
         w = self.window
         unit = self.epsilon / (2.0 * w)
@@ -139,7 +136,8 @@ class LBA(StreamMechanism):
             t = t0 + pos
             est = run(pos, unit)
             diff = est - self.last_release
-            dis = float(np.mean(diff * diff)) - var_m1
+            # np.mean's own pairwise sum and division, minus its dispatch.
+            dis = float(np.add.reduce(diff * diff)) / d - var_m1
             to_nullify = self._last_publication_epsilon / unit - 1.0
             if t - self._last_publication_t <= to_nullify:
                 records.append(

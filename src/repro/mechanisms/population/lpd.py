@@ -156,11 +156,9 @@ class LPD(StreamMechanism):
 
         Population division cannot batch rounds: every timestamp's pool
         draw and oracle draw interleave on the shared generator, and the
-        group sizes feed the next decision.  But the publish decision is
-        computable immediately after each M1 round, so this kernel is the
-        degenerate (exact-lookahead) case of speculation — a sequential
-        loop that issues exactly the per-step draws with zero discards —
-        and its win is hoisting the per-step dispatch: one prepared
+        group sizes feed the next decision.  So this kernel is a
+        sequential loop that issues exactly the per-step draws, and its
+        win is hoisting the per-step dispatch: one prepared
         round collector (validation and oracle setup hoisted) plus the
         pool/recycling fast paths.
         """

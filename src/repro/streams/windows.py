@@ -20,8 +20,8 @@ class SlidingWindowSum:
 
     ``record(t, value)`` appends the value for timestamp ``t``;
     ``window_sum(t)`` returns the sum over timestamps in
-    ``[t - w + 1, t]``.  Timestamps must be recorded in non-decreasing
-    order (one record per timestamp).
+    ``[t - w + 1, t]``.  Timestamps must be recorded in strictly
+    increasing order (one record per timestamp).
     """
 
     def __init__(self, window: int):
@@ -47,35 +47,6 @@ class SlidingWindowSum:
         """Sum of recorded values with timestamps in ``[t - w + 1, t]``."""
         self._evict(t)
         return self._sum
-
-    def preview(self, ts) -> list:
-        """Window sums for future timestamps, assuming zero-valued records.
-
-        For each ``t`` of the ascending ``ts``, returns the value
-        ``window_sum(t)`` *would* return if every timestamp between the
-        last recorded one and ``t`` recorded ``0.0`` — without mutating
-        the window.  The speculative chunk kernels (LBD) use this to scan
-        a whole no-publish segment's remaining-budget decisions ahead of
-        time.
-
-        Bit-identity with the per-step path: evictions pop the same
-        pre-existing entries in the same order, subtracting the same
-        floats from the same running sum, and the interleaved zero-valued
-        appends the per-step path would make are exact no-ops on an IEEE
-        sum (``x + 0.0 == x`` and ``x - 0.0 == x`` for every value this
-        sum can reach — entries are non-negative, so the sum is never
-        ``-0.0``).
-        """
-        entries = deque(self._entries)
-        total = self._sum
-        window = self.window
-        sums = []
-        for t in ts:
-            cutoff = t - window + 1
-            while entries and entries[0][0] < cutoff:
-                total -= entries.popleft()[1]
-            sums.append(total)
-        return sums
 
     def state_dict(self) -> dict:
         """In-window entries and counters for checkpointing."""

@@ -35,13 +35,6 @@ def loop_debias_rows(supports, n_reports, p, q):
     return out
 
 
-def loop_first_exceed(dissimilarity, error):
-    for i in range(dissimilarity.shape[0]):
-        if dissimilarity[i] > error[i]:
-            return i
-    return -1
-
-
 def _block(rows, n_users, d, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, d, size=(rows, n_users), dtype=np.int64)
@@ -71,23 +64,6 @@ class TestNumpyVsLoopReference:
         # Bitwise equality, not allclose: the loop evaluates the same
         # elementwise expression in the same order.
         assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "dis,err,expect",
-        [
-            ([], [], -1),
-            ([1.0], [2.0], -1),
-            ([3.0], [2.0], 0),
-            ([0.1, 0.2, 5.0, 9.0], [1.0, 1.0, 1.0, 1.0], 2),
-            ([0.1, np.nan, 5.0], [1.0, np.nan, np.inf], -1),
-            ([2.0, 1.0], [np.nan, 0.5], 1),
-        ],
-    )
-    def test_first_exceed(self, dis, err, expect):
-        dis = np.asarray(dis, dtype=np.float64)
-        err = np.asarray(err, dtype=np.float64)
-        assert kf.first_exceed(dis, err) == expect
-        assert loop_first_exceed(dis, err) == expect
 
     def test_backend_is_numpy(self):
         assert kf.backend() == "numpy"

@@ -233,6 +233,17 @@ class TestEdges:
         with pytest.raises(InvalidParameterError):
             session.observe_many()
 
+    @pytest.mark.parametrize("n", [2.5, "3", True, float("nan")])
+    def test_non_integer_chunk_rejected(self, n):
+        session = StreamSession("LBU", _dataset(), 1.0, WINDOW, seed=0).start()
+        with pytest.raises(InvalidParameterError):
+            session.observe_many(0, n)
+        assert session.steps_observed == 0
+
+    def test_numpy_integer_chunk_accepted(self):
+        session = StreamSession("LBU", _dataset(), 1.0, WINDOW, seed=0).start()
+        assert len(session.observe_many(0, np.int64(3))) == 3
+
 
 class TestSessionGroupChunked:
     def test_group_matches_solo_with_mixed_horizons(self):

@@ -1,9 +1,8 @@
 """Adaptive chunk kernels must be bit-identical to the per-step loop.
 
-LBD's speculative kernel rewinds and replays the shared generator
-around publications; LBA's sequential kernel and the streamlined
-population kernels (LPD/LPA) re-issue exactly the per-step draws
-through hoisted fast paths.  Either way the contract is total: for
+The budget kernels (LBD/LBA) and the streamlined population kernels
+(LPD/LPA) re-issue exactly the per-step draws through hoisted fast
+paths.  The contract is total: for
 every oracle and every chunking of the horizon, releases, per-record
 decision fields (``dis``/``err``/strategy/budgets/group sizes), running
 counters, checkpointable state and the final generator position must
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.engine import StreamSession
-from repro.engine.collector import ChunkContext
 from repro.mechanisms.base import StreamMechanism
 from repro.streams import MaterializedStream
 
@@ -34,8 +32,8 @@ N_USERS = 900
 DOMAIN = 6
 
 #: Chunk sizes crossing every interesting boundary: single step, prime
-#: misaligned with the window, larger than the speculation lookahead,
-#: and one chunk swallowing the whole horizon.
+#: misaligned with the window, a typical serving chunk, and one chunk
+#: swallowing the whole horizon.
 CHUNKS = (1, 7, 64, HORIZON + 10)
 
 
@@ -144,33 +142,30 @@ class TestBitIdentityMatrix:
         _assert_sessions_identical(chunked, session)
 
 
-class TestLBDSpeculation:
-    """LBD's speculative mode against the ``step()`` loop.
+class TestQuietThenShift:
+    """A long quiet stretch, then an abrupt shift, against ``step()``.
 
-    The drifting matrix above publishes too often for LBD to leave its
-    sequential mode, so this input is built to speculate: a static
-    stream (quiet at ``w = 2`` with a 32-value domain) for 70 steps,
-    then every user switches to value 0.  The shift forces a publish
-    inside a speculative sub-batch, so the kernel must rewind and
-    replay the generator.
+    The drifting matrix above publishes every few steps.  This input
+    holds a static stream (quiet at ``w = 2`` with a 32-value domain)
+    until ``shift``, then every user switches to value 0, so LBD
+    approximates for the whole quiet stretch and publishes within a few
+    steps of the shift (LBA keeps publishing, as absorption grows its
+    budget at every skipped step).  The shift lands on a chunk boundary,
+    inside a chunk, or inside one chunk holding the whole horizon.
     """
 
     HORIZON = 120
-    SHIFT = 70
     N_USERS = 10_000
     DOMAIN = 32
 
-    def _dataset(self):
+    def _session(self, mechanism, oracle, shift):
         rng = np.random.default_rng(5)
         held = rng.integers(0, self.DOMAIN, size=self.N_USERS)
         values = np.zeros((self.HORIZON, self.N_USERS), dtype=np.int64)
-        values[: self.SHIFT] = held
-        return MaterializedStream(values, domain_size=self.DOMAIN)
-
-    def _session(self, oracle):
+        values[:shift] = held
         return StreamSession(
-            "LBD",
-            self._dataset(),
+            mechanism,
+            MaterializedStream(values, domain_size=self.DOMAIN),
             epsilon=1.0,
             window=2,
             horizon=self.HORIZON,
@@ -178,27 +173,25 @@ class TestLBDSpeculation:
             seed=97,
         ).start()
 
-    @pytest.mark.parametrize("chunk", (13, 64, 130))
+    @pytest.mark.parametrize(
+        "chunk,shift",
+        [(13, 65), (13, 70), (64, 64), (64, 70), (HORIZON + 10, 70)],
+        ids=["13-on", "13-off", "64-on", "64-off", "whole"],
+    )
     @pytest.mark.parametrize("oracle", ORACLES)
-    def test_rewind_matches_loop(self, oracle, chunk, monkeypatch):
-        looped = self._session(oracle)
-        for t in range(self.HORIZON):
-            looped.observe(t)
-
-        restores = []
-        original = ChunkContext.rng_restore
-
-        def counting_restore(ctx, state):
-            restores.append(ctx.t0)
-            original(ctx, state)
-
-        monkeypatch.setattr(ChunkContext, "rng_restore", counting_restore)
-        chunked = self._session(oracle)
+    @pytest.mark.parametrize("mechanism", ("LBD", "LBA"))
+    def test_chunked_matches_loop(self, mechanism, oracle, chunk, shift):
+        looped = self._session(mechanism, oracle, shift)
+        strategies = [looped.observe(t).strategy for t in range(self.HORIZON)]
+        chunked = self._session(mechanism, oracle, shift)
         t = 0
         while t < self.HORIZON:
             t += len(chunked.observe_many(t, chunk))
-        assert restores, "input no longer drives a mid-sub-batch rewind"
         _assert_sessions_identical(looped, chunked)
+        if mechanism == "LBD":
+            # The input still drives the case this class is for.
+            assert "publish" not in strategies[:shift]
+            assert "publish" in strategies[shift : shift + 5]
 
 
 class TestAccountingInvariants:
@@ -206,13 +199,6 @@ class TestAccountingInvariants:
     def test_privacy_budget_respected_chunked(self, mechanism):
         session = _run_chunked(mechanism, "oue", 64)
         assert session.max_window_spend <= 1.0 + 1e-9
-
-    def test_speculation_hint_not_checkpointed(self):
-        """LBD's _quiet_run is a perf-only hint: it must not leak into
-        snapshots (restores start from the default and stay correct)."""
-        session = _run_chunked("LBD", "oue", 64)
-        payload = json.loads(json.dumps(session.snapshot()))
-        assert "quiet_run" not in json.dumps(payload)
 
 
 class TestCheckpointMidStream:
