@@ -6,8 +6,10 @@ pass per cell when executed naively; the shared-pass engine
 stream once and fans each timestamp out to every (cell, repeat) session.
 This bench measures two modes on the same grid:
 
-``per-cell``   one solo pass per cell (no sharing)
-``soa``        the shared pass under the structure-of-arrays scheduler
+``per-cell``   ``coalesce=False``: a one-cell ``SessionGroup`` pass per
+               cell, so every cell regenerates the stream (no sharing)
+``soa``        ``coalesce=True``: one shared pass for the whole grid
+               under the structure-of-arrays scheduler
                (:mod:`repro.engine.soa`)
 
 verifies both return bit-identical results, prints the cells/sec

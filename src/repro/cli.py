@@ -14,9 +14,9 @@ Commands
 
 ``run``, ``figure``, ``table2`` and ``campaign`` accept ``--jobs N`` to
 fan their experiment grids out over N worker processes (``--jobs 0`` uses
-all CPUs).  Results are bit-identical at any worker count: each grid
-cell's randomness is derived from the seed and the cell's coordinates
-(see :mod:`repro.experiments.parallel`).
+all CPUs).  Results are bit-identical at any worker count: each cell's
+randomness is derived from the seed (and, in a grid, the cell's
+coordinates) alone (see :mod:`repro.experiments.parallel`).
 
 ``stream`` ingests one line per timestamp (whitespace/comma-separated
 user values) and releases the private histogram as each line arrives —
@@ -380,10 +380,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_run_repeats(args) -> int:
     """Averaged multi-repeat run, fanned over ``--jobs`` workers."""
-    from .experiments.parallel import DatasetSpec, evaluate_parallel
+    from .experiments import DatasetSpec, evaluate
 
     dataset = DatasetSpec.of(args.dataset, size=args.size, seed=args.seed)
-    cell = evaluate_parallel(
+    cell = evaluate(
         args.method,
         dataset,
         args.epsilon,
@@ -397,7 +397,7 @@ def _cmd_run_repeats(args) -> int:
     print(
         f"{cell.mechanism} on {args.dataset} (size={args.size}, "
         f"eps={cell.epsilon:g}, w={cell.window}, oracle={args.oracle}, "
-        f"repeats={cell.repeats}, jobs={args.jobs})"
+        f"repeats={cell.repeats})"
     )
     print(f"  MRE  = {cell.mre:.4f}")
     print(f"  MAE  = {cell.mae:.5f}")

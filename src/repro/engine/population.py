@@ -70,24 +70,6 @@ class UserPool:
         self._available[user_ids] = True
         self._n_available += user_ids.size
 
-    def sample_run(self, k: int) -> np.ndarray:
-        """Kernel-path :meth:`sample`: identical draw and state math.
-
-        Used by the adaptive population chunk kernels, whose group sizes
-        are positive by construction, so only the exhaustion check
-        remains — the generator sees exactly the calls :meth:`sample`
-        would issue, keeping chunked runs bit-identical to per-step ones.
-        """
-        if k > self._n_available:
-            raise PopulationExhaustedError(
-                f"requested {k} users but only {self._n_available} available"
-            )
-        candidates = np.flatnonzero(self._available)
-        chosen = self._rng.choice(candidates, size=k, replace=False)
-        self._available[chosen] = False
-        self._n_available -= k
-        return chosen.astype(np.int64, copy=False)
-
     def recycle_run(self, *groups: np.ndarray) -> None:
         """Kernel-path :meth:`recycle` for several already-validated groups.
 

@@ -2,10 +2,12 @@
 
 * :mod:`~repro.experiments.datasets` — the six evaluation datasets at
   smoke/default/paper sizes;
-* :mod:`~repro.experiments.runner` — grid evaluation with all metrics;
-* :mod:`~repro.experiments.parallel` — the parallel experiment engine:
-  self-describing :class:`CellSpec` jobs over worker processes, with
-  coordinate-derived seeding (bit-identical at any worker count);
+* :mod:`~repro.experiments.parallel` — the cell evaluator: every cell
+  (:func:`evaluate`, :func:`sweep`, :func:`execute_cells`) is a
+  self-describing :class:`CellSpec` run as a shared stream pass, inline
+  or over worker processes (bit-identical at any worker count);
+* :mod:`~repro.experiments.runner` — per-cell metrics
+  (:class:`CellResult`) and the averaging of repeats;
 * :mod:`~repro.experiments.figures` — series generators for Figs. 4-8;
 * :mod:`~repro.experiments.tables` — Table 2 (+ the paper's reported values);
 * :mod:`~repro.experiments.reporting` — text rendering of the series.
@@ -39,22 +41,14 @@ from .parallel import (
     CellSpec,
     DatasetSpec,
     coalesce_specs,
-    evaluate_parallel,
+    evaluate,
     execute_cells,
     grid_specs,
     merge_grid,
-    parallel_sweep,
-    run_cell,
     run_shared_pass,
-)
-from .runner import (
-    CellResult,
-    evaluate,
-    evaluate_repeat,
-    merge_repeat_cells,
-    run_single,
     sweep,
 )
+from .runner import CellResult, merge_repeat_cells
 from .tables import PAPER_TABLE2, TABLE2_DATASETS, TABLE2_SETTINGS, table2_cfpu
 
 __all__ = [
@@ -72,15 +66,10 @@ __all__ = [
     "coalesce_specs",
     "run_shared_pass",
     "evaluate",
-    "evaluate_parallel",
-    "evaluate_repeat",
     "execute_cells",
     "grid_specs",
     "merge_grid",
     "merge_repeat_cells",
-    "parallel_sweep",
-    "run_cell",
-    "run_single",
     "sweep",
     "fig4_utility_vs_epsilon",
     "fig5_utility_vs_window",

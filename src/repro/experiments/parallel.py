@@ -1,59 +1,65 @@
-"""Parallel experiment engine: self-describing cells over worker processes.
+"""The cell evaluator: self-describing cells run as shared stream passes.
 
 The paper's evaluation is a large mechanism × epsilon × window × dataset
 grid.  This module decomposes any sweep into an explicit list of
-:class:`CellSpec` jobs and executes them either inline or over a
+:class:`CellSpec` jobs and executes them, inline or over a
 :class:`concurrent.futures.ProcessPoolExecutor`, then merges the results
 back into the ``results[mechanism][(epsilon, window)]`` shape the rest of
-the experiments layer expects.
+the experiments layer expects.  :func:`sweep` (a grid),
+:func:`evaluate` (one cell, its repeats optionally split over workers)
+and :func:`execute_cells` (any list of specs) all run through
+:func:`run_shared_pass`, the one place a cell becomes sessions and
+results.
 
 Determinism contract
 --------------------
-A cell's randomness is a pure function of the campaign seed and the
-cell's *coordinates* (dataset identity, mechanism, epsilon, window,
-oracle, tag) — derived through :func:`repro.rng.derive_seed_sequence`,
-never from sequential draws off a shared generator.  Consequences:
+Under :func:`execute_cells` and :func:`sweep`, a cell's randomness is a
+pure function of the campaign seed and the cell's *coordinates*
+(dataset identity, mechanism, epsilon, window, oracle, tag), derived
+through :func:`repro.rng.derive_seed_sequence`, never from sequential
+draws off a shared generator; :func:`evaluate` takes the cell's seed
+directly.  Within a cell, repeat ``i`` runs on spawn child ``i`` of the
+cell seed (:func:`~repro.experiments.runner.repeat_seed_sequences`).
+Consequences:
 
 * ``jobs=1`` and ``jobs=N`` produce bit-identical
   :class:`~repro.experiments.runner.CellResult`\\ s;
 * reordering the grid (or running a single cell in isolation) does not
   change any cell's result;
 * repeats split across workers reproduce the serial average exactly,
-  because per-repeat seeds are prefix-stable ``SeedSequence.spawn``
-  children (see :func:`repro.experiments.runner.evaluate_repeat`).
+  because spawn children are prefix-stable and the average is taken in
+  repeat order.
 
 Workers reconstruct datasets from a :class:`DatasetSpec` (registry name +
 size/overrides + seed) rather than receiving pickled value matrices, so
 fanning out a paper-tier grid ships a few hundred bytes per job instead
 of gigabytes.  Passing a live :class:`~repro.streams.base.StreamDataset`
-still works — it is pickled to the workers — but specs are the fast path.
+still works (it is pickled to the workers), but specs are the fast path.
 
-Shared-pass coalescing
-----------------------
-Cells that target the same dataset no longer each re-simulate the stream:
-:func:`coalesce_specs` groups them and :func:`run_shared_pass` executes a
-group as one :class:`~repro.engine.SessionGroup` — a single pass over the
-stream whose per-timestamp values and true frequencies fan out to one
-:class:`~repro.engine.StreamSession` per (cell, repeat).  Each session is
-seeded with the exact coordinate-derived SeedSequence the solo path
-uses, so coalescing changes wall-clock only, never results.  A
-7-mechanism × 4-epsilon grid over one simulator-backed dataset becomes 1
-stream pass instead of 28 (see ``benchmarks/bench_shared_pass.py``).
+Shared passes
+-------------
+:func:`coalesce_specs` groups cells that target the same dataset, and
+:func:`run_shared_pass` executes a group as one
+:class:`~repro.engine.SessionGroup`: a single pass over the stream whose
+per-timestamp values and true frequencies fan out to one
+:class:`~repro.engine.StreamSession` per (cell, repeat), each with its
+own generator.  A 7-mechanism × 4-epsilon grid over one simulator-backed
+dataset becomes 1 stream pass instead of 28.  ``coalesce=False`` runs a
+one-cell pass per spec instead; the results are the same bytes either
+way (see ``benchmarks/bench_shared_pass.py``).
 
-The shared pass runs through the group's structure-of-arrays scheduler
-(:mod:`repro.engine.soa`): each :data:`_SHARED_PASS_CHUNK`-timestamp
-span is read and histogrammed once for the whole group, every
-and every session's chunk context is pre-warmed with the shared
-arrays.  This holds on
-generative simulators too — the SoA block fetch consumes each span
-exactly once — and is bit-identical to per-cell execution (see
-``benchmarks/bench_shared_pass.py``).
+The group runs through the structure-of-arrays scheduler
+(:mod:`repro.engine.soa`): each ``truth_chunk``-timestamp span is read
+and histogrammed once for the whole group, and every session's chunk
+context is pre-warmed with the shared arrays.  This holds on generative
+simulators too, since the block fetch consumes each span exactly once.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -63,25 +69,19 @@ import numpy as np
 from ..analysis import ROCCurve, monitoring_roc
 from ..engine import SessionGroup
 from ..exceptions import InvalidParameterError
+from ..mechanisms.base import StreamMechanism
 from ..rng import SeedLike, as_seed_sequence, derive_seed, derive_seed_sequence
 from ..streams.base import StreamDataset
 from .datasets import make_dataset
 from .runner import (
     CellResult,
     cell_from_session,
-    evaluate,
-    evaluate_repeat,
     merge_repeat_cells,
     repeat_seed_sequences,
-    run_single,
 )
 
 #: Hashable scalar parameter value inside a DatasetSpec.
 ParamValue = Union[int, float, str, bool]
-
-#: Timestamps per bulk-ingestion step on shared-pass groups (drives both
-#: the truth-histogram prefetch and each session's observe_many spans).
-_SHARED_PASS_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,12 @@ def _pin_dataset_seed(
 class CellSpec:
     """One self-describing experiment job.
 
-    ``kind`` selects the result type: ``"cell"`` runs
-    :func:`~repro.experiments.runner.evaluate` (averaged
-    :class:`CellResult`), ``"roc"`` runs a single session and returns its
-    event-monitoring :class:`~repro.analysis.ROCCurve` (Fig. 7).  When
-    ``repeat_index`` is set, only that repeat runs — with the exact seed
-    the full serial evaluation would hand it.
+    ``kind`` selects the result type: ``"cell"`` averages its
+    ``repeats`` sessions into a :class:`CellResult`, ``"roc"`` runs a
+    single session and returns its event-monitoring
+    :class:`~repro.analysis.ROCCurve` (Fig. 7).  When ``repeat_index`` is
+    set, only that repeat runs, with the exact seed the full cell would
+    hand it.
     """
 
     mechanism: str
@@ -249,103 +249,22 @@ def _oracle_key(oracle) -> str:
 # Cell execution
 
 
-class _DatasetLRU:
-    """Small per-process LRU of materialised DatasetSpec streams.
+@functools.lru_cache(maxsize=4)
+def _build_dataset(spec: DatasetSpec) -> StreamDataset:
+    """Per-process LRU of materialised DatasetSpec streams.
 
     Long campaigns visit many distinct datasets; an unbounded cache would
     pin every paper-tier value matrix in worker RAM for the lifetime of
-    the pool.  The LRU keeps the handful of streams a figure's cells
-    revisit while letting cold ones be garbage collected (``maxsize``
-    0 disables caching).
+    the pool.  Four entries keep the handful of streams a figure's cells
+    revisit while letting cold ones be garbage collected.
     """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = int(maxsize)
-        self._entries: "OrderedDict[DatasetSpec, StreamDataset]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, spec: DatasetSpec) -> StreamDataset:
-        if self.maxsize <= 0:
-            self.misses += 1
-            return spec.build()
-        cached = self._entries.get(spec)
-        if cached is not None:
-            self._entries.move_to_end(spec)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        built = spec.build()
-        self._entries[spec] = built
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return built
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_DATASET_CACHE = _DatasetLRU(maxsize=4)
+    return spec.build()
 
 
 def _materialize(dataset: Union[DatasetSpec, StreamDataset]) -> StreamDataset:
     if not isinstance(dataset, DatasetSpec):
         return dataset
-    return _DATASET_CACHE.get_or_build(dataset)
-
-
-def run_cell(
-    spec: CellSpec, base_seed: SeedLike = 0
-) -> Union[CellResult, ROCCurve]:
-    """Execute one cell; pure in (spec, base_seed) by construction."""
-    dataset = _materialize(spec.dataset)
-    seed = spec.seed_sequence(base_seed)
-    if spec.kind == "roc":
-        result = run_single(
-            spec.mechanism,
-            dataset,
-            spec.epsilon,
-            spec.window,
-            oracle=spec.oracle,
-            seed=np.random.default_rng(seed),
-            horizon=spec.horizon,
-        )
-        return monitoring_roc(result.releases, result.true_frequencies)
-    if spec.kind != "cell":
-        raise InvalidParameterError(f"unknown cell kind {spec.kind!r}")
-    if spec.repeat_index is not None:
-        return evaluate_repeat(
-            spec.mechanism,
-            dataset,
-            spec.epsilon,
-            spec.window,
-            index=spec.repeat_index,
-            oracle=spec.oracle,
-            seed=seed,
-            with_roc=spec.with_roc,
-            horizon=spec.horizon,
-            query_k=spec.query_k,
-        )
-    return evaluate(
-        spec.mechanism,
-        dataset,
-        spec.epsilon,
-        spec.window,
-        oracle=spec.oracle,
-        seed=seed,
-        repeats=spec.repeats,
-        with_roc=spec.with_roc,
-        horizon=spec.horizon,
-        query_k=spec.query_k,
-    )
-
-
-def _run_cell_job(job: Tuple[CellSpec, np.random.SeedSequence]):
-    """Top-level worker entry point (must be picklable)."""
-    spec, base = job
-    return run_cell(spec, base)
+    return _build_dataset(dataset)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -357,15 +276,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
-# --------------------------------------------------------------------------
-# Shared-pass coalescing
-#
-# Cells that target the same dataset re-simulate the same stream and
-# recompute the same true frequencies.  The coalescer folds such cells
-# into one job executed as a SessionGroup — a single pass over the stream
-# fanned out to one StreamSession per (cell, repeat), each with the exact
-# SeedSequence the solo path would derive.  Results are therefore
-# bit-identical to per-cell execution; only the wall-clock changes.
+#: One cell to execute: its spec and the SeedSequence its sessions
+#: derive from (repeat ``i`` runs on spawn child ``i``).
+SeededCell = Tuple[CellSpec, np.random.SeedSequence]
+
 
 def _dataset_key(spec: CellSpec):
     """Hashable identity under which cells may share a stream pass."""
@@ -377,23 +291,18 @@ def _dataset_key(spec: CellSpec):
 def coalesce_specs(specs: Sequence[CellSpec]) -> List[List[int]]:
     """Group spec indices by shared dataset, in first-seen order."""
     groups: Dict[object, List[int]] = {}
-    order: List[object] = []
     for index, spec in enumerate(specs):
-        key = _dataset_key(spec)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    return [groups[key] for key in order]
+        groups.setdefault(_dataset_key(spec), []).append(index)
+    return list(groups.values())
 
 
 def _split_for_workers(groups: List[List[int]], jobs: int) -> List[List[int]]:
     """Split the largest shared-pass groups until every worker has a job.
 
-    Sessions are seeded by coordinates, and stream replay is
-    bit-identical, so chunking a group re-runs the pass for the chunk
-    without changing any result — it only trades generation time for
-    parallelism when the grid has fewer datasets than workers.
+    Sessions are seeded per cell, and stream replay is bit-identical, so
+    chunking a group re-runs the pass for the chunk without changing any
+    result — it only trades generation time for parallelism when the
+    grid has fewer datasets than workers.
     """
     groups = [list(group) for group in groups]
     target = min(jobs, sum(len(group) for group in groups))
@@ -407,72 +316,65 @@ def _split_for_workers(groups: List[List[int]], jobs: int) -> List[List[int]]:
     return groups
 
 
+def _session_seeds(
+    spec: CellSpec, seed: np.random.SeedSequence
+) -> List[np.random.SeedSequence]:
+    """The SeedSequences of a cell's sessions, one per session."""
+    if spec.kind == "roc":
+        return [seed]
+    if spec.kind != "cell":
+        raise InvalidParameterError(f"unknown cell kind {spec.kind!r}")
+    if spec.repeat_index is not None:
+        if spec.repeat_index < 0:
+            raise InvalidParameterError(
+                f"repeat index must be >= 0, got {spec.repeat_index}"
+            )
+        return repeat_seed_sequences(seed, spec.repeat_index + 1)[-1:]
+    if spec.repeats < 1:
+        raise InvalidParameterError(f"repeats must be >= 1, got {spec.repeats}")
+    return repeat_seed_sequences(seed, spec.repeats)
+
+
+def _fresh_mechanism(mechanism):
+    """A private copy of a mechanism instance (names and classes pass).
+
+    Sessions of one pass advance in lockstep, so two of them must never
+    share a mechanism object's state.
+    """
+    if isinstance(mechanism, StreamMechanism):
+        return copy.deepcopy(mechanism)
+    return mechanism
+
+
 def run_shared_pass(
-    specs: Sequence[CellSpec], base_seed: SeedLike = 0
+    cells: Sequence[SeededCell],
 ) -> List[Union[CellResult, ROCCurve]]:
     """Execute cells sharing one dataset over a single stream pass.
 
-    Every (cell, repeat) becomes one :class:`~repro.engine.SessionGroup`
-    session seeded with the exact SeedSequence the solo path derives
-    (``spec.seed_sequence(base)`` and its prefix-stable spawn children),
-    so each returned result is bit-identical to :func:`run_cell` on the
-    same spec.
+    Every (cell, session) becomes one :class:`~repro.engine.SessionGroup`
+    session: a ``"roc"`` cell runs on its seed, a ``"cell"`` runs repeat
+    ``i`` on spawn child ``i`` of its seed (only repeat ``repeat_index``
+    when that is set) and averages its repeats with
+    :func:`~repro.experiments.runner.merge_repeat_cells`.  This is the
+    one place an experiment cell turns into sessions and results; a
+    lone cell is a one-cell group.
     """
-    if not specs:
+    if not cells:
         return []
-    if len(specs) == 1 and specs[0].kind == "cell" and specs[0].repeats == 1:
-        # Nothing to share; keep the battle-tested solo path.
-        return [run_cell(specs[0], base_seed)]
-    base = as_seed_sequence(base_seed)
-    dataset = _materialize(specs[0].dataset)
-    group = SessionGroup(dataset, truth_chunk=_SHARED_PASS_CHUNK)
+    group = SessionGroup(_materialize(cells[0][0].dataset))
     plan: List[Tuple[CellSpec, int]] = []
-    for spec in specs:
-        seed = spec.seed_sequence(base)
-        if spec.kind == "roc":
+    for spec, seed in cells:
+        seeds = _session_seeds(spec, seed)
+        for child in seeds:
             group.add_session(
-                spec.mechanism,
-                spec.epsilon,
-                spec.window,
-                oracle=spec.oracle,
-                seed=np.random.default_rng(seed),
-                horizon=spec.horizon,
-            )
-            plan.append((spec, 1))
-        elif spec.kind != "cell":
-            raise InvalidParameterError(f"unknown cell kind {spec.kind!r}")
-        elif spec.repeat_index is not None:
-            if spec.repeat_index < 0:
-                raise InvalidParameterError(
-                    f"repeat index must be >= 0, got {spec.repeat_index}"
-                )
-            child = repeat_seed_sequences(seed, spec.repeat_index + 1)[
-                spec.repeat_index
-            ]
-            group.add_session(
-                spec.mechanism,
+                _fresh_mechanism(spec.mechanism),
                 spec.epsilon,
                 spec.window,
                 oracle=spec.oracle,
                 seed=np.random.default_rng(child),
                 horizon=spec.horizon,
             )
-            plan.append((spec, 1))
-        else:
-            if spec.repeats < 1:
-                raise InvalidParameterError(
-                    f"repeats must be >= 1, got {spec.repeats}"
-                )
-            for child in repeat_seed_sequences(seed, spec.repeats):
-                group.add_session(
-                    spec.mechanism,
-                    spec.epsilon,
-                    spec.window,
-                    oracle=spec.oracle,
-                    seed=np.random.default_rng(child),
-                    horizon=spec.horizon,
-                )
-            plan.append((spec, spec.repeats))
+        plan.append((spec, len(seeds)))
     sessions = group.run()
     results: List[Union[CellResult, ROCCurve]] = []
     cursor = 0
@@ -483,38 +385,51 @@ def run_shared_pass(
             results.append(
                 monitoring_roc(chunk[0].releases, chunk[0].true_frequencies)
             )
-        elif spec.repeat_index is not None:
-            results.append(
-                cell_from_session(
-                    chunk[0],
-                    spec.epsilon,
-                    spec.window,
-                    with_roc=spec.with_roc,
-                    query_k=spec.query_k,
-                )
+            continue
+        results.append(
+            merge_repeat_cells(
+                [
+                    cell_from_session(
+                        result,
+                        spec.epsilon,
+                        spec.window,
+                        with_roc=spec.with_roc,
+                        query_k=spec.query_k,
+                    )
+                    for result in chunk
+                ]
             )
-        else:
-            results.append(
-                merge_repeat_cells(
-                    [
-                        cell_from_session(
-                            result,
-                            spec.epsilon,
-                            spec.window,
-                            with_roc=spec.with_roc,
-                            query_k=spec.query_k,
-                        )
-                        for result in chunk
-                    ]
-                )
-            )
+        )
     return results
 
 
-def _run_group_job(job: Tuple[List[CellSpec], np.random.SeedSequence]):
-    """Top-level shared-pass worker entry point (must be picklable)."""
-    specs, base = job
-    return run_shared_pass(specs, base)
+def _execute(
+    cells: Sequence[SeededCell], jobs: Optional[int], coalesce: bool
+) -> List[Union[CellResult, ROCCurve]]:
+    """Group seeded cells into shared passes and run them, in cell order.
+
+    ``jobs <= 1`` runs the passes inline; anything larger fans them out
+    over a process pool.  Each session's seed is fixed before the split,
+    so neither the worker count nor the grouping changes a result.
+    """
+    jobs = resolve_jobs(jobs)
+    if coalesce:
+        groups = coalesce_specs([spec for spec, _ in cells])
+        if jobs > 1:
+            groups = _split_for_workers(groups, jobs)
+    else:
+        groups = [[index] for index in range(len(cells))]
+    passes = [[cells[index] for index in group] for group in groups]
+    if jobs <= 1 or len(passes) <= 1:
+        outputs = [run_shared_pass(cell_pass) for cell_pass in passes]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(passes))) as pool:
+            outputs = list(pool.map(run_shared_pass, passes, chunksize=1))
+    results: List[Optional[Union[CellResult, ROCCurve]]] = [None] * len(cells)
+    for group, group_outputs in zip(groups, outputs):
+        for index, output in zip(group, group_outputs):
+            results[index] = output
+    return results
 
 
 def execute_cells(
@@ -526,46 +441,65 @@ def execute_cells(
 ) -> List[Union[CellResult, ROCCurve]]:
     """Run every spec, returning results in spec order.
 
-    By default cells that share a dataset are coalesced into shared-pass
-    :class:`~repro.engine.SessionGroup` jobs (one stream pass fanned out
-    to every cell) — pass ``coalesce=False`` to force the historical
-    one-process-call-per-cell execution.  ``jobs <= 1`` runs inline;
-    anything larger fans the jobs out over a process pool.  All paths
-    derive each session's randomness from the cell's coordinates alone,
-    so the outputs are bit-identical regardless of worker count or
-    coalescing.
+    Each cell is seeded by ``spec.seed_sequence(base_seed)``.  By default
+    cells that share a dataset are coalesced into one shared pass; pass
+    ``coalesce=False`` to run a one-cell pass per spec instead.
+    ``jobs <= 1`` runs inline; anything larger fans the passes out over
+    a process pool.  The outputs are bit-identical regardless of worker
+    count or coalescing.
     """
     # Normalise entropy once in the parent so seed=None still gives every
     # cell a distinct (if irreproducible) stream under any worker count.
     base = as_seed_sequence(base_seed)
-    jobs = resolve_jobs(jobs)
-    if coalesce:
-        groups = coalesce_specs(specs)
-        if jobs > 1:
-            groups = _split_for_workers(groups, jobs)
-    else:
-        groups = [[index] for index in range(len(specs))]
-    results: List[Optional[Union[CellResult, ROCCurve]]] = [None] * len(specs)
-    if jobs <= 1 or len(groups) <= 1:
-        for group_indices in groups:
-            outputs = run_shared_pass(
-                [specs[index] for index in group_indices], base
-            )
-            for index, output in zip(group_indices, outputs):
-                results[index] = output
-        return results
-    workers = min(jobs, len(groups))
-    payloads = [
-        ([specs[index] for index in group_indices], base)
-        for group_indices in groups
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for group_indices, outputs in zip(
-            groups, pool.map(_run_group_job, payloads, chunksize=1)
-        ):
-            for index, output in zip(group_indices, outputs):
-                results[index] = output
-    return results
+    return _execute(
+        [(spec, spec.seed_sequence(base)) for spec in specs], jobs, coalesce
+    )
+
+
+def evaluate(
+    mechanism,
+    dataset: DatasetLike,
+    epsilon: float,
+    window: int,
+    oracle="grr",
+    seed: SeedLike = None,
+    repeats: int = 1,
+    with_roc: bool = False,
+    horizon: Optional[int] = None,
+    query_k: Optional[int] = None,
+    jobs: Optional[int] = 1,
+) -> CellResult:
+    """Run one cell's ``repeats`` sessions and average all metrics.
+
+    ``seed`` is the cell's SeedSequence: repeat ``i`` runs on its spawn
+    child ``i`` (:func:`~repro.experiments.runner.repeat_seed_sequences`).
+    ``dataset`` may be a live stream, a registry name or a
+    :class:`DatasetSpec`.  With ``jobs > 1`` the repeats are split over
+    worker processes; the average is still taken in repeat order, so the
+    result is bit-identical at any worker count.  ``query_k``
+    additionally scores the released stream's top-``k`` heavy-hitter
+    precision; it is pure post-processing of the trace, so setting it
+    never changes any other metric or any random draw.
+    """
+    seed = as_seed_sequence(seed)
+    spec = CellSpec(
+        mechanism=mechanism,
+        dataset=_pin_dataset_seed(dataset, seed, "evaluate"),
+        epsilon=float(epsilon),
+        window=int(window),
+        oracle=oracle,
+        repeats=repeats,
+        with_roc=with_roc,
+        horizon=horizon,
+        query_k=query_k,
+    )
+    if repeats > 1 and resolve_jobs(jobs) > 1:
+        split = [
+            (replace(spec, repeats=1, repeat_index=i), seed)
+            for i in range(repeats)
+        ]
+        return merge_repeat_cells(_execute(split, jobs, coalesce=True))
+    return run_shared_pass([(spec, seed)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -616,7 +550,7 @@ def merge_grid(
     return results
 
 
-def parallel_sweep(
+def sweep(
     mechanisms: Iterable,
     dataset: DatasetLike,
     *,
@@ -629,7 +563,15 @@ def parallel_sweep(
     jobs: Optional[int] = 1,
     query_k: Optional[int] = None,
 ) -> Dict[str, Dict[tuple, CellResult]]:
-    """Grid sweep through the parallel engine (see :func:`runner.sweep`)."""
+    """Full grid: mechanism × epsilon × window → :class:`CellResult`.
+
+    Result keys are ``results[mechanism][(epsilon, window)]``.
+    ``dataset`` may be a live stream, a registry name (``"LNS"``) or a
+    :class:`DatasetSpec`.  Every cell's randomness derives from ``seed``
+    and the cell's coordinates alone, so results are bit-identical at
+    any ``jobs`` value.  ``query_k`` records per-cell top-k
+    heavy-hitter precision (trace post-processing; no random draw).
+    """
     seed = as_seed_sequence(seed)
     specs = grid_specs(
         mechanisms,
@@ -643,47 +585,3 @@ def parallel_sweep(
     )
     cells = execute_cells(specs, base_seed=seed, jobs=jobs)
     return merge_grid(specs, cells)
-
-
-def evaluate_parallel(
-    mechanism,
-    dataset: DatasetLike,
-    epsilon: float,
-    window: int,
-    *,
-    oracle="grr",
-    seed: SeedLike = None,
-    repeats: int = 1,
-    with_roc: bool = False,
-    horizon: Optional[int] = None,
-    jobs: Optional[int] = 1,
-    tag: str = "evaluate",
-    query_k: Optional[int] = None,
-) -> CellResult:
-    """One cell, with its repeats optionally split across workers.
-
-    Bit-identical to :func:`repro.experiments.runner.evaluate` on the
-    same coordinates: repeat ``i`` always runs with spawn child ``i`` of
-    the cell seed, and the final average is taken in repeat order.
-    """
-    seed = as_seed_sequence(seed)
-    spec = CellSpec(
-        mechanism=mechanism,
-        dataset=_pin_dataset_seed(dataset, seed, tag),
-        epsilon=float(epsilon),
-        window=int(window),
-        oracle=oracle,
-        repeats=repeats,
-        with_roc=with_roc,
-        horizon=horizon,
-        tag=tag,
-        query_k=query_k,
-    )
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or repeats <= 1:
-        return run_cell(spec, seed)
-    repeat_specs = [
-        replace(spec, repeats=1, repeat_index=i) for i in range(repeats)
-    ]
-    cells = execute_cells(repeat_specs, base_seed=seed, jobs=jobs)
-    return merge_repeat_cells(cells)

@@ -1,26 +1,26 @@
-"""Experiment runner: evaluate mechanisms over parameter grids.
+"""Cell metrics: what one experiment grid cell reports.
 
-The figure/table generators in :mod:`repro.experiments.figures` and
-:mod:`repro.experiments.tables` are thin loops over :func:`evaluate`,
-which runs one (mechanism, dataset, epsilon, window) cell — optionally
-averaged over repeats with distinct seeds — and returns every metric of
-Section 7.1.4.
+One (mechanism, dataset, epsilon, window) cell runs ``repeats`` sessions
+(see :func:`repro.experiments.parallel.evaluate`); this module turns
+each finished session into a :class:`CellResult` carrying every metric
+of Section 7.1.4 (:func:`cell_from_session`) and averages the repeats
+(:func:`merge_repeat_cells`).
 
 Seeding discipline
 ------------------
 Per-repeat randomness derives from ``numpy.random.SeedSequence.spawn`` of
-the cell seed, never from sequential draws off a shared generator.  Spawn
-children are prefix-stable (child ``i`` is the same whether 1 or ``n``
-children are spawned), so any single repeat can be re-run in isolation —
-this is what lets :mod:`repro.experiments.parallel` fan a grid out over
-worker processes and still return bit-identical results to the serial
-path.
+the cell seed (:func:`repeat_seed_sequences`), never from sequential
+draws off a shared generator.  Spawn children are prefix-stable (child
+``i`` is the same whether 1 or ``n`` children are spawned), so any
+single repeat can be re-run in isolation: this is what lets
+:mod:`repro.experiments.parallel` split a cell's repeats over worker
+processes and still return bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from ..analysis import (
     monitoring_roc,
 )
 from ..analysis.topk import topk_precision as _topk_precision
-from ..engine import SessionResult, run_stream
+from ..engine import SessionResult
 from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, as_seed_sequence
-from ..streams.base import GenerativeStream, StreamDataset
 
 
 @dataclass
@@ -73,145 +72,23 @@ class CellResult:
         }
 
 
-def _fresh_dataset(dataset: StreamDataset) -> StreamDataset:
-    """Rewind generative streams so each repeat replays from t = 0."""
-    if isinstance(dataset, GenerativeStream):
-        dataset.reset()
-    return dataset
-
-
 def repeat_seed_sequences(
     seed: SeedLike, repeats: int
 ) -> List[np.random.SeedSequence]:
-    """The per-repeat seed sequences :func:`evaluate` uses for ``seed``.
+    """The per-repeat seed sequences of a cell seeded by ``seed``.
 
-    Children are prefix-stable: ``repeat_seed_sequences(s, n)[i]`` equals
+    Child ``i`` is spawn child ``i`` of ``seed``.  Children are
+    prefix-stable: ``repeat_seed_sequences(s, n)[i]`` equals
     ``repeat_seed_sequences(s, m)[i]`` for any ``n, m > i``, so individual
     repeats can be re-executed (or farmed out to workers) independently.
+    ``seed`` itself is never advanced: the spawn runs on a fresh copy, so
+    asking twice gives the same children.
     """
-    return as_seed_sequence(seed).spawn(repeats)
-
-
-def run_single(
-    mechanism,
-    dataset: StreamDataset,
-    epsilon: float,
-    window: int,
-    oracle="grr",
-    seed: SeedLike = None,
-    horizon: Optional[int] = None,
-) -> SessionResult:
-    """Run one session (rewinding generative streams first)."""
-    return run_stream(
-        mechanism,
-        _fresh_dataset(dataset),
-        epsilon=epsilon,
-        window=window,
-        horizon=horizon,
-        oracle=oracle,
-        seed=seed,
+    seq = as_seed_sequence(seed)
+    fresh = np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size
     )
-
-
-def evaluate(
-    mechanism,
-    dataset: StreamDataset,
-    epsilon: float,
-    window: int,
-    oracle="grr",
-    seed: SeedLike = None,
-    repeats: int = 1,
-    with_roc: bool = False,
-    horizon: Optional[int] = None,
-    query_k: Optional[int] = None,
-) -> CellResult:
-    """Run ``repeats`` sessions and average all metrics.
-
-    ``query_k`` additionally scores the released stream's top-``k``
-    heavy-hitter precision (query-level utility); it is pure
-    post-processing of the trace, so setting it never changes any other
-    metric or any random draw.
-    """
-    if repeats < 1:
-        raise InvalidParameterError(f"repeats must be >= 1, got {repeats}")
-    children = repeat_seed_sequences(seed, repeats)
-    cells = [
-        _evaluate_one(
-            mechanism,
-            dataset,
-            epsilon,
-            window,
-            oracle=oracle,
-            seed_seq=child,
-            with_roc=with_roc,
-            horizon=horizon,
-            query_k=query_k,
-        )
-        for child in children
-    ]
-    return merge_repeat_cells(cells)
-
-
-def evaluate_repeat(
-    mechanism,
-    dataset: StreamDataset,
-    epsilon: float,
-    window: int,
-    index: int,
-    oracle="grr",
-    seed: SeedLike = None,
-    with_roc: bool = False,
-    horizon: Optional[int] = None,
-    query_k: Optional[int] = None,
-) -> CellResult:
-    """Run repeat ``index`` of the cell :func:`evaluate` would run.
-
-    Uses exactly the seed sequence repeat ``index`` gets inside
-    :func:`evaluate`, so averaging ``evaluate_repeat(i)`` for
-    ``i = 0..n-1`` with :func:`merge_repeat_cells` is bit-identical to
-    ``evaluate(..., repeats=n)``.
-    """
-    if index < 0:
-        raise InvalidParameterError(f"repeat index must be >= 0, got {index}")
-    child = repeat_seed_sequences(seed, index + 1)[index]
-    return _evaluate_one(
-        mechanism,
-        dataset,
-        epsilon,
-        window,
-        oracle=oracle,
-        seed_seq=child,
-        with_roc=with_roc,
-        horizon=horizon,
-        query_k=query_k,
-    )
-
-
-def _evaluate_one(
-    mechanism,
-    dataset: StreamDataset,
-    epsilon: float,
-    window: int,
-    *,
-    oracle,
-    seed_seq: np.random.SeedSequence,
-    with_roc: bool,
-    horizon: Optional[int],
-    query_k: Optional[int] = None,
-) -> CellResult:
-    """One repeat of a cell, seeded by an explicit SeedSequence."""
-    result = run_single(
-        mechanism,
-        dataset,
-        epsilon,
-        window,
-        oracle=oracle,
-        seed=np.random.default_rng(seed_seq),
-        horizon=horizon,
-    )
-    return cell_from_session(
-        result, epsilon, window, with_roc=with_roc, query_k=query_k
-    )
+    return fresh.spawn(repeats)
 
 
 def cell_from_session(
@@ -224,9 +101,7 @@ def cell_from_session(
 ) -> CellResult:
     """Compute one repeat's :class:`CellResult` from a finished session.
 
-    This is the single place session traces turn into cell metrics; the
-    serial evaluator and the shared-pass group executor both call it, so
-    their outputs cannot drift apart.
+    This is the single place session traces turn into cell metrics.
     """
     auc = float("nan")
     if with_roc:
@@ -258,8 +133,7 @@ def merge_repeat_cells(cells: List[CellResult]) -> CellResult:
     """Average per-repeat :class:`CellResult`\\ s into one cell.
 
     The inverse of splitting a cell's repeats across workers; NaN AUCs
-    (ROC disabled or degenerate truth) are excluded from the AUC mean,
-    matching the serial accumulation.
+    (ROC disabled or degenerate truth) are excluded from the AUC mean.
     """
     if not cells:
         raise InvalidParameterError("cannot merge an empty list of cells")
@@ -293,44 +167,3 @@ def merge_repeat_cells(cells: List[CellResult]) -> CellResult:
         repeats=sum(c.repeats for c in cells),
     )
 
-
-def sweep(
-    mechanisms: Iterable[str],
-    dataset,
-    *,
-    epsilons: Iterable[float] = (1.0,),
-    windows: Iterable[int] = (20,),
-    oracle="grr",
-    seed: SeedLike = None,
-    repeats: int = 1,
-    with_roc: bool = False,
-    jobs: Optional[int] = 1,
-    query_k: Optional[int] = None,
-) -> Dict[str, Dict[tuple, CellResult]]:
-    """Full grid: mechanism × epsilon × window → :class:`CellResult`.
-
-    Result keys are ``results[mechanism][(epsilon, window)]``.
-
-    ``dataset`` may be a live :class:`~repro.streams.base.StreamDataset`,
-    a registry name (``"LNS"``), or a
-    :class:`~repro.experiments.parallel.DatasetSpec`.  With ``jobs > 1``
-    the grid fans out over worker processes; every cell's randomness is
-    derived from ``seed`` and the cell's coordinates alone, so results
-    are bit-identical to the serial path (and to any other worker count).
-    ``query_k`` records per-cell top-k heavy-hitter precision (a pure
-    trace post-processing step — it changes no random draw).
-    """
-    from .parallel import parallel_sweep
-
-    return parallel_sweep(
-        mechanisms,
-        dataset,
-        epsilons=epsilons,
-        windows=windows,
-        oracle=oracle,
-        seed=seed,
-        repeats=repeats,
-        with_roc=with_roc,
-        jobs=jobs,
-        query_k=query_k,
-    )

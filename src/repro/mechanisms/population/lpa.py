@@ -171,7 +171,7 @@ class LPA(StreamMechanism):
         last_size = self._last_publication_size
         for i in range(ctx.length):
             t = t0 + i
-            users_m1 = pool.sample_run(m1_size)
+            users_m1 = pool.sample(m1_size)
             frequencies = collect(i, users_m1)
             diff = frequencies - last_release
             dis = float(np.mean(diff * diff)) - var_m1
@@ -201,7 +201,7 @@ class LPA(StreamMechanism):
                     err = math.inf
 
                 if dis > err:
-                    users_m2 = pool.sample_run(n_potential)
+                    users_m2 = pool.sample(n_potential)
                     last_release = collect(i, users_m2)
                     last_t = t
                     last_size = n_potential

@@ -181,7 +181,7 @@ class LPD(StreamMechanism):
         last_release = self.last_release
         for i in range(ctx.length):
             t = t0 + i
-            users_m1 = pool.sample_run(m1_size)
+            users_m1 = pool.sample(m1_size)
             frequencies = collect(i, users_m1)
             diff = frequencies - last_release
             dis = float(np.mean(diff * diff)) - var_m1
@@ -197,7 +197,7 @@ class LPD(StreamMechanism):
                 err = math.inf
 
             if dis > err and n_potential >= u_min:
-                users_m2 = pool.sample_run(n_potential)
+                users_m2 = pool.sample(n_potential)
                 last_release = collect(i, users_m2)
                 records.append(
                     StepRecord(

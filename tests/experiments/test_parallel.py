@@ -17,13 +17,10 @@ from repro.experiments import (
     CellSpec,
     DatasetSpec,
     evaluate,
-    evaluate_parallel,
-    evaluate_repeat,
     execute_cells,
     grid_specs,
     merge_grid,
     merge_repeat_cells,
-    run_cell,
     sweep,
 )
 from repro.experiments.parallel import resolve_jobs
@@ -152,18 +149,25 @@ class TestSeedStability:
 
 
 class TestRepeatSplitting:
-    def test_evaluate_repeat_matches_in_sequence_value(self):
-        stream = TINY.build()
-        full = evaluate("LPU", stream, 1.0, 5, seed=9, repeats=3)
+    def test_repeat_index_cells_match_in_sequence_value(self):
+        full = CellSpec(
+            mechanism="LPU", dataset=TINY, epsilon=1.0, window=5, repeats=3
+        )
         parts = [
-            evaluate_repeat("LPU", stream, 1.0, 5, index=i, seed=9)
+            CellSpec(
+                mechanism="LPU", dataset=TINY, epsilon=1.0, window=5,
+                repeat_index=i,
+            )
             for i in range(3)
         ]
-        assert_cells_identical(full, merge_repeat_cells(parts))
+        # Each repeat in its own pass: a lone repeat re-run in isolation.
+        alone = execute_cells(parts, base_seed=9, coalesce=False)
+        [whole] = execute_cells([full], base_seed=9)
+        assert_cells_identical(whole, merge_repeat_cells(alone))
 
-    def test_evaluate_parallel_split_matches_inline(self):
-        inline = evaluate_parallel("LPA", TINY, 1.0, 5, seed=4, repeats=3, jobs=1)
-        split = evaluate_parallel("LPA", TINY, 1.0, 5, seed=4, repeats=3, jobs=2)
+    def test_evaluate_jobs_split_matches_inline(self):
+        inline = evaluate("LPA", TINY, 1.0, 5, seed=4, repeats=3, jobs=1)
+        split = evaluate("LPA", TINY, 1.0, 5, seed=4, repeats=3, jobs=2)
         assert split.repeats == 3
         assert_cells_identical(inline, split)
 
@@ -196,18 +200,18 @@ class TestEngineParts:
         spec = CellSpec(
             mechanism="LPA", dataset=TINY, epsilon=1.0, window=5, kind="roc"
         )
-        curve = run_cell(spec, base_seed=0)
+        [curve] = execute_cells([spec], base_seed=0)
         assert 0.0 <= curve.auc <= 1.0
         # bit-identical across worker counts too
         curves = execute_cells([spec, spec], base_seed=0, jobs=2)
-        assert curves[0].auc == curves[1].auc == run_cell(spec, 0).auc
+        assert curves[0].auc == curves[1].auc == curve.auc
 
     def test_unknown_kind_rejected(self):
         spec = CellSpec(
             mechanism="LPA", dataset=TINY, epsilon=1.0, window=5, kind="nope"
         )
         with pytest.raises(InvalidParameterError):
-            run_cell(spec, base_seed=0)
+            execute_cells([spec], base_seed=0)
 
     def test_resolve_jobs(self):
         assert resolve_jobs(1) == 1

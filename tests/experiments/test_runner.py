@@ -1,11 +1,16 @@
 """Unit tests for the experiment runner."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.engine import run_stream
 from repro.exceptions import InvalidParameterError
-from repro.experiments import evaluate, run_single, sweep
-from repro.streams import TaxiSimulator
+from repro.experiments import evaluate, merge_repeat_cells, sweep
+from repro.experiments.runner import cell_from_session
+from repro.streams import TaxiSimulator, make_lns
+from repro.streams.base import GenerativeStream
 
 
 class TestEvaluate:
@@ -39,6 +44,19 @@ class TestEvaluate:
         # A third evaluation still works because reset() rewinds the cursor.
         cell = evaluate("LPU", stream, 1.0, 5, seed=0)
         assert cell.mre > 0
+
+    def test_mechanism_instance_repeats_match_name(self, small_binary_stream):
+        # The repeats share one pass; each session gets its own copy of
+        # the instance, so the cell equals the by-name cell.
+        from repro.mechanisms.base import get_mechanism
+
+        by_name = evaluate("LPA", small_binary_stream, 1.0, 5, seed=3, repeats=3)
+        by_instance = evaluate(
+            get_mechanism("LPA"), small_binary_stream, 1.0, 5, seed=3, repeats=3
+        )
+        for name, value in by_name.as_dict().items():
+            got = getattr(by_instance, name)
+            assert got == value or (math.isnan(got) and math.isnan(value)), name
 
     def test_as_dict(self, small_binary_stream):
         cell = evaluate("LPU", small_binary_stream, 1.0, 5, seed=0)
@@ -78,8 +96,49 @@ class TestSweep:
         assert results["LBU"][(2.5, 5)].mre < results["LBU"][(0.5, 5)].mre
 
 
-class TestRunSingle:
-    def test_returns_session_result(self, small_binary_stream):
-        result = run_single("LPA", small_binary_stream, 1.0, 5, seed=0)
-        assert result.mechanism == "LPA"
-        assert result.horizon == small_binary_stream.horizon
+def _reference_cell(mechanism, stream, epsilon, window, *, seed, repeats):
+    """``evaluate``'s seeding spelled out: one solo ``run_stream`` per
+    spawn child of the cell seed, averaged in repeat order."""
+    cells = []
+    for child in np.random.SeedSequence(seed).spawn(repeats):
+        if isinstance(stream, GenerativeStream):
+            stream.reset()  # each repeat replays the stream from t = 0
+        result = run_stream(
+            mechanism,
+            stream,
+            epsilon=epsilon,
+            window=window,
+            seed=np.random.default_rng(child),
+        )
+        cells.append(
+            cell_from_session(
+                result, epsilon, window, with_roc=True, query_k=2
+            )
+        )
+    return merge_repeat_cells(cells)
+
+
+class TestEvaluateSeeding:
+    """``evaluate`` against an independent reference of its seeding."""
+
+    @pytest.mark.parametrize("mechanism", ["LBD", "LPA"])
+    @pytest.mark.parametrize(
+        "make_stream",
+        [
+            lambda: make_lns(n_users=800, horizon=24, seed=3),
+            lambda: TaxiSimulator(n_users=400, horizon=24, seed=3),
+        ],
+        ids=["random-access", "generative"],
+    )
+    def test_matches_run_stream_per_spawn_child(self, mechanism, make_stream):
+        expected = _reference_cell(
+            mechanism, make_stream(), 1.0, 5, seed=7, repeats=3
+        )
+        cell = evaluate(
+            mechanism, make_stream(), 1.0, 5, seed=7, repeats=3,
+            with_roc=True, query_k=2,
+        )
+        assert cell.repeats == expected.repeats == 3
+        for name, value in expected.as_dict().items():
+            got = getattr(cell, name)
+            assert got == value or (math.isnan(got) and math.isnan(value)), name

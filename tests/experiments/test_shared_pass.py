@@ -1,8 +1,8 @@
 """Tests for shared-pass coalescing in the parallel experiment engine.
 
 Contract: coalescing cells that share a dataset into one SessionGroup
-pass changes wall-clock only — every result is bit-identical to per-cell
-execution (and hence to the serial pre-coalescing engine) at any worker
+pass changes wall-clock only: every result is bit-identical to per-cell
+execution (``coalesce=False``, a one-cell pass per spec) at any worker
 count and any group split.
 """
 
@@ -18,14 +18,9 @@ from repro.experiments import (
     coalesce_specs,
     execute_cells,
     grid_specs,
-    run_cell,
-    run_shared_pass,
     sweep,
 )
-from repro.experiments.parallel import (
-    _DatasetLRU,
-    _split_for_workers,
-)
+from repro.experiments.parallel import _build_dataset, _split_for_workers
 from repro.streams import make_lns
 
 ALL_MECHANISMS = ("LBU", "LSP", "LBD", "LBA", "LPU", "LPD", "LPA")
@@ -89,12 +84,12 @@ class TestCoalescer:
 class TestSharedPassIdentity:
     @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
     def test_every_mechanism_matches_solo_cell(self, mechanism):
-        """Shared pass == per-cell run_cell, per mechanism, sim-backed."""
+        """Shared pass == one-cell passes, per mechanism, sim-backed."""
         specs = grid_specs(
-            [mechanism], TINY_SIM, epsilons=(1.0,), windows=(5,), repeats=2
+            [mechanism], TINY_SIM, epsilons=(0.5, 1.0), windows=(5,), repeats=2
         )
-        solo = [run_cell(spec, 3) for spec in specs]
-        shared = run_shared_pass(specs, 3)
+        solo = execute_cells(specs, base_seed=3, coalesce=False)
+        shared = execute_cells(specs, base_seed=3, coalesce=True)
         for a, b in zip(solo, shared):
             assert_cells_identical(a, b)
 
@@ -121,8 +116,8 @@ class TestSharedPassIdentity:
             )
             for m in ("LBA", "LPA")
         ]
-        solo = [run_cell(spec, 5) for spec in specs]
-        shared = run_shared_pass(specs, 5)
+        solo = execute_cells(specs, base_seed=5, coalesce=False)
+        shared = execute_cells(specs, base_seed=5, coalesce=True)
         for a, b in zip(solo, shared):
             assert a.auc == b.auc
             assert np.array_equal(a.true_positive_rate, b.true_positive_rate)
@@ -138,7 +133,10 @@ class TestSharedPassIdentity:
             repeat_index=2,
             tag="evaluate",
         )
-        assert_cells_identical(run_cell(spec, 9), run_shared_pass([spec, spec], 9)[0])
+        [solo] = execute_cells([spec], base_seed=9, coalesce=False)
+        shared = execute_cells([spec, spec], base_seed=9, coalesce=True)
+        assert_cells_identical(solo, shared[0])
+        assert_cells_identical(solo, shared[1])
 
     def test_mixed_kinds_one_pass(self):
         cell = CellSpec(
@@ -147,8 +145,8 @@ class TestSharedPassIdentity:
         roc = CellSpec(
             mechanism="LBA", dataset=TINY, epsilon=1.0, window=5, kind="roc"
         )
-        solo = [run_cell(cell, 2), run_cell(roc, 2)]
-        shared = run_shared_pass([cell, roc], 2)
+        solo = execute_cells([cell, roc], base_seed=2, coalesce=False)
+        shared = execute_cells([cell, roc], base_seed=2, coalesce=True)
         assert_cells_identical(solo[0], shared[0])
         assert solo[1].auc == shared[1].auc
 
@@ -157,7 +155,7 @@ class TestSharedPassIdentity:
             mechanism="LBU", dataset=TINY, epsilon=1.0, window=5, kind="nope"
         )
         with pytest.raises(InvalidParameterError):
-            run_shared_pass([spec, spec], 0)
+            execute_cells([spec, spec], base_seed=0)
 
     def test_sweep_coalesced_matches_historical(self):
         """End-to-end: sweep() (now coalesced) == forced per-cell grid."""
@@ -179,33 +177,28 @@ class TestSharedPassIdentity:
 
 
 class TestDatasetLRU:
-    def test_hit_refreshes_recency(self):
-        cache = _DatasetLRU(maxsize=2)
-        a = DatasetSpec.of("LNS", n_users=50, horizon=5, seed=1)
-        b = DatasetSpec.of("LNS", n_users=50, horizon=5, seed=2)
-        c = DatasetSpec.of("LNS", n_users=50, horizon=5, seed=3)
-        built_a = cache.get_or_build(a)
-        cache.get_or_build(b)
-        assert cache.get_or_build(a) is built_a  # hit refreshes a
-        cache.get_or_build(c)  # evicts b (least recently used), not a
-        assert cache.get_or_build(a) is built_a
-        assert cache.hits == 2
+    """The per-process cache of built DatasetSpec streams."""
 
-    def test_bounded_size(self):
-        cache = _DatasetLRU(maxsize=2)
+    def setup_method(self):
+        _build_dataset.cache_clear()
+
+    def test_hit_refreshes_recency(self):
         specs = [
             DatasetSpec.of("LNS", n_users=50, horizon=5, seed=i)
             for i in range(6)
         ]
-        for spec in specs:
-            cache.get_or_build(spec)
-        assert len(cache._entries) == 2
-        assert cache.misses == 6
+        built = [_build_dataset(spec) for spec in specs[:4]]
+        assert _build_dataset(specs[0]) is built[0]  # hit refreshes 0
+        _build_dataset(specs[4])  # evicts 1 (least recently used), not 0
+        assert _build_dataset(specs[0]) is built[0]
+        assert _build_dataset.cache_info().hits == 2
+        assert _build_dataset(specs[1]) is not built[1]  # rebuilt
 
-    def test_zero_size_disables_caching(self):
-        cache = _DatasetLRU(maxsize=0)
-        spec = DatasetSpec.of("LNS", n_users=50, horizon=5, seed=1)
-        first = cache.get_or_build(spec)
-        second = cache.get_or_build(spec)
-        assert first is not second
-        assert len(cache._entries) == 0
+    def test_bounded_size(self):
+        for seed in range(6):
+            _build_dataset(
+                DatasetSpec.of("LNS", n_users=50, horizon=5, seed=seed)
+            )
+        info = _build_dataset.cache_info()
+        assert info.currsize == info.maxsize == 4
+        assert info.misses == 6

@@ -51,6 +51,31 @@ class TestRun:
         assert json.loads(json_path.read_text())["mechanism"] == "LBU"
         assert csv_path.read_text().startswith("t,strategy")
 
+    def _run_repeats(self, capsys, *extra):
+        code = main(
+            ["run", "--method", "LPA", "--size", "smoke", "--seed", "1",
+             "--repeats", "3", *extra]
+        )
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_repeats_identical_at_any_jobs(self, capsys):
+        serial = self._run_repeats(capsys, "--jobs", "1")
+        split = self._run_repeats(capsys, "--jobs", "2")
+        assert serial == split
+        assert "repeats=3" in serial
+        assert "MRE" in serial and "event-monitoring AUC" in serial
+
+    def test_repeats_refuse_save_json(self, capsys, tmp_path):
+        path = tmp_path / "session.json"
+        code = main(
+            ["run", "--method", "LPA", "--size", "smoke", "--repeats", "2",
+             "--save-json", str(path)]
+        )
+        assert code == 2
+        assert "need --repeats 1" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_unknown_method_is_graceful(self, capsys):
         code = main(["run", "--method", "NOPE", "--size", "smoke"])
         assert code == 2
